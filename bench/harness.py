@@ -1,15 +1,15 @@
 """Workloads, timed operations and output checks of the trendgraph benchmark.
 
 One call of ``run`` generates a synthetic interaction CSV from the seed (not
-timed), then drives the public API the way the CLI does, in two halves:
-ingest, build the snapshot series and graph constants, train, then predict,
-evaluate against the month-on-month baseline, and save and load the
-checkpoint in interleaved rounds; the second half sets up twice, trains again
-with the same seed and runs as many rounds.  Every timed operation is
-checked; a failed check or an exception counts the operation as failed and
-is reported by name.
+timed), then drives the public API the way the CLI does: ingest, build the
+snapshot series and graph constants, train, then predict, evaluate against
+the month-on-month baseline, and save and load the checkpoint in interleaved
+rounds.  Three set-ups, two training runs with the same seed and four blocks
+of rounds alternate over the whole run.  Every timed operation is checked; a
+failed check or an exception counts the operation as failed and is reported
+by name.
 
-With ``trace`` on, the set-ups, the second training run and its rounds
+With ``trace`` on, the set-ups, the second training run and the rounds
 record spans around the calls into each layer (see ``tracer``), every layer
 of one real training step is replayed in isolation to time its forward and
 backward, and ``trendgraph predict`` runs in-process.
@@ -59,13 +59,12 @@ WORKLOADS = {
 # One epoch per training run, so the test AUC is a function of the seed alone
 # and early stopping cannot trigger.
 EPOCHS = 1
-SETUP_REPEATS = 3
 LAYER_REPEATS = 5
-MIN_ROUNDS = 5
+MIN_ROUNDS = 3     # per block of rounds
 MAX_ROUNDS = 500
 # the rounds get at least this share of --seconds even when set-up and
 # training outlast it, so a short slow spell cannot own their medians
-MIN_ROUNDS_SHARE = 1 / 3
+MIN_ROUNDS_SHARE = 1 / 2
 MAX_FAILURES_SHOWN = 50
 
 # reported with --trace 0; each is gated by the bound in BENCHMARK.json
@@ -87,6 +86,13 @@ UNGATED = [
     ("failed_ops_share", "ratio"),
     ("first_epoch_s", "s"),
 ]
+
+# Metrics reported as the mean of their samples without the lowest and the
+# highest TRIM share.  Text formatting and parsing in Python run at two
+# speeds on a shared host; the median of a run jumps from one to the other
+# as the share of slow time crosses one half, the mean moves in proportion.
+TRIMMED = {"checkpoint_save_ms", "checkpoint_load_ms"}
+TRIM = 0.1
 
 # metrics whose median is taken over another metric's samples
 SAMPLED_AS = {"train_epoch_s": "train_step_s", "train_pairs_per_s": "train_step_s"}
@@ -284,13 +290,20 @@ def median(samples: list[float]) -> float:
     return statistics.median(samples) if samples else math.nan
 
 
+def trimmed_mean(samples: list[float]) -> float:
+    ordered = sorted(samples)
+    k = int(TRIM * len(ordered))
+    return statistics.mean(ordered[k:len(ordered) - k]) if ordered else math.nan
+
+
 def summarize(samples: list[float]) -> dict:
-    """Median, extremes and sample count; once there are enough samples, also
-    the highest percentile with at least ten samples beyond it."""
+    """Median, trimmed mean, extremes and sample count; once there are enough
+    samples, also the highest percentile with at least ten samples beyond it."""
     out = {"n": len(samples)}
     if samples:
         ordered = sorted(samples)
-        out.update(median=statistics.median(ordered), min=ordered[0], max=ordered[-1])
+        out.update(median=statistics.median(ordered), trimmed_mean=trimmed_mean(ordered),
+                   min=ordered[0], max=ordered[-1])
         if len(ordered) > 10:
             k = len(ordered) - 11
             out["p_hi"] = {"q": round(100.0 * (k + 1) / len(ordered), 1), "value": ordered[k]}
@@ -402,37 +415,44 @@ def run(workload: str, seed: int, seconds: float, trace: bool, workdir) -> Resul
                                    patience=EPOCHS + 1, seed=seed)
         measure_start = time.perf_counter()
 
-        # Set-up, training and the inference rounds alternate in two halves,
-        # so every metric samples two stretches of a machine whose speed
-        # drifts.  Both training runs use the same seed; the process's slow
-        # first steps fall in the first run, which is checked and reported
-        # but gives no medians.
+        # Set-up, training and four blocks of inference rounds alternate, so
+        # every metric samples stretches of a machine whose speed drifts from
+        # the start of the run to its end.  Both training runs use the same
+        # seed; the process's slow first steps fall in the first run, which is
+        # checked and reported but gives no medians.
         records, series, consts = _timed_setup(ledger, tracers["setup"], csv_path, config,
                                                trace, samples)
+        setup_once_s = time.perf_counter() - measure_start
         first = _train(ledger, "train", series, consts, config, Tracer(), STEP_TARGETS)
-        # the second half repeats this work, with one more set-up
-        fixed_s = time.perf_counter() - measure_start
-        rounds_s = max(seconds - 2 * fixed_s, MIN_ROUNDS_SHARE * seconds) / 2
+        # three set-ups and two training runs in all
+        fixed_s = 2 * (time.perf_counter() - measure_start) + setup_once_s
+        block_s = max(seconds - fixed_s, MIN_ROUNDS_SHARE * seconds) / 4
         ckpt_dir = scratch / "run"
         ckpt_dir.mkdir()
         ckpt = ckpt_dir / cli.CHECKPOINT_NAME
-        reports = _rounds(ledger, records, series, consts, config, first.store, ckpt,
-                          rounds_s, samples)
+        blocks = []
 
-        for _ in range(SETUP_REPEATS - 1):
-            records, series, consts = _timed_setup(ledger, tracers["setup"], csv_path,
-                                                   config, trace, samples)
+        def rounds(store, records, series, consts):
+            with tracers["evaluate"].installed(EVALUATE_TARGETS if trace else []):
+                blocks.append(_rounds(ledger, records, series, consts, config, store, ckpt,
+                                      block_s, samples))
+
+        rounds(first.store, records, series, consts)
+        records, series, consts = _timed_setup(ledger, tracers["setup"], csv_path, config,
+                                               trace, samples)
+        rounds(first.store, records, series, consts)
         second = _train(ledger, "train-repeat", series, consts, config, tracers["train"],
                         TRAIN_TARGETS if trace else STEP_TARGETS, reference=first)
         store = second.store
+        rounds(store, records, series, consts)
+        # the third set-up is timed and checked; the run goes on with the second's output
+        _timed_setup(ledger, tracers["setup"], csv_path, config, trace, samples)
+        rounds(store, records, series, consts)
+        reports = next((r for r in blocks if r is not None), None)
         labelled_pairs = int(sum(series.samples[i].validity.sum() for i in series.split.train))
         optimizer_s, validation_s = epoch_estimate(second.epochs)
         for e in second.epochs:
             samples["train_step_s"].extend(t for _, t in e.steps)
-        with tracers["evaluate"].installed(EVALUATE_TARGETS if trace else []):
-            later = _rounds(ledger, records, series, consts, config, store, ckpt, rounds_s,
-                            samples)
-        reports = reports or later
         measured_s = time.perf_counter() - measure_start
 
         macro = reports[0].macro_auc if reports is not None else None
@@ -452,7 +472,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, workdir) -> Resul
                     tracer.write(fh, phase)
             result.record["spans_file"] = str(spans_path)
         for name, values in samples.items():
-            metrics.setdefault(name, median(values))
+            metrics.setdefault(name, (trimmed_mean if name in TRIMMED else median)(values))
 
     # a metric whose every operation failed reads NaN; the run is then incorrect
     result.metrics = {name: (metrics.get(name, math.nan), unit)

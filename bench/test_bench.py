@@ -115,6 +115,11 @@ def test_checkpoint_with_a_changed_value_fails_the_round_trip(trained, tmp_path)
     assert problems == ["parameter 'ar_bias' is not bit-identical"]
 
 
+def test_trimmed_mean_drops_a_tenth_at_each_end():
+    assert harness.trimmed_mean([100.0] + [1.0] * 8 + [0.0]) == 1.0
+    assert math.isnan(harness.trimmed_mean([]))
+
+
 def test_differing_epoch_losses_are_reported():
     assert harness.check_same_losses([3.5, 2.25], [3.5, 2.25]) == []
     assert harness.check_same_losses([3.5, 2.25], [3.5, 2.2500000000000004])
