@@ -15,31 +15,25 @@ from .evaluate import EvalReport, auc, evaluate_predictions, mom_baseline
 from .model import ModelConfig, TrainResult, grid_search, initialize, train
 from .predictions import PredictionMatrix
 from .snapshots import (
-    BipartiteSnapshot,
     Catalogs,
-    Hypergraph,
     InteractionRecord,
     SnapshotSeries,
     TrendSample,
-    build_bipartite,
     build_windows,
     compute_labels,
     filter_min_sales,
     ingest,
-    to_hypergraph,
 )
 from .synthetic import GeneratorConfig, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteSnapshot",
     "Catalogs",
     "CsvFormatError",
     "DataError",
     "EvalReport",
     "GeneratorConfig",
-    "Hypergraph",
     "InsufficientHistoryError",
     "InteractionRecord",
     "ModelConfig",
@@ -54,7 +48,6 @@ __all__ = [
     "UndefinedAucError",
     "UsageError",
     "auc",
-    "build_bipartite",
     "build_windows",
     "compute_labels",
     "evaluate_predictions",
@@ -64,6 +57,5 @@ __all__ = [
     "ingest",
     "initialize",
     "mom_baseline",
-    "to_hypergraph",
     "train",
 ]

@@ -297,38 +297,6 @@ def row_l2_normalize(a: Node) -> Node:
     return Node(value, op="row_l2_normalize", parents=(a,), backward=backward)
 
 
-def conv1d(signal: Node, kernel: Node, stride: int = 1) -> Node:
-    """Valid 1-D convolution of a column signal with a bank of filters.
-
-    ``signal`` is Lx1, ``kernel`` is w x f (one column per filter); output is
-    P x f with P = (L - w) // stride + 1.
-    """
-    if signal.cols != 1:
-        raise ShapeMismatchError(f"conv1d: signal must be a column, got shape {signal.value.shape}")
-    if stride < 1:
-        raise ValueError(f"conv1d: stride must be >= 1, got {stride}")
-    length, width = signal.rows, kernel.rows
-    if length < width:
-        raise ShapeMismatchError(
-            f"conv1d: input length {length} is shorter than kernel width {width}")
-    s = signal.value[:, 0]
-    patches = np.lib.stride_tricks.sliding_window_view(s, width)[::stride]
-    value = patches @ kernel.value
-
-    def backward(g: Matrix) -> None:
-        if kernel.needs_grad:
-            kernel.accumulate_owned(patches.T @ g)
-        if signal.needs_grad:
-            contrib = g @ kernel.value.T
-            gs = np.zeros_like(signal.value)
-            for i in range(width):
-                idx = np.arange(contrib.shape[0]) * stride + i
-                np.add.at(gs[:, 0], idx, contrib[:, i])
-            signal.accumulate_owned(gs)
-
-    return Node(value, op="conv1d", parents=(signal, kernel), backward=backward)
-
-
 def slice_block(a: Node, rows: tuple[int, int], cols: tuple[int, int]) -> Node:
     r0, r1 = rows
     c0, c1 = cols
@@ -354,17 +322,6 @@ def sum_all(a: Node) -> Node:
             a.accumulate_owned(np.full_like(a.value, g[0, 0]))
 
     return Node(value, op="sum", parents=(a,), backward=backward)
-
-
-def mean_all(a: Node) -> Node:
-    n = a.value.size
-    value = np.array([[a.value.sum() / n]])
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_owned(np.full_like(a.value, g[0, 0] / n))
-
-    return Node(value, op="mean", parents=(a,), backward=backward)
 
 
 def block_row_mean(a: Node, block: int) -> Node:

@@ -208,7 +208,11 @@ def _restore_model(args, model_config: ModelConfig, series):
     if not checkpoint.exists():
         raise UsageError(f"checkpoint not found: {checkpoint} (train first or pass --checkpoint)")
     store = md.initialize(model_config, series.catalogs)
-    store.load(checkpoint)
+    try:
+        store.load(checkpoint)
+    except ValueError as exc:
+        # wrong parameter names or shapes for this config, or a damaged file
+        raise UsageError(f"cannot load checkpoint {checkpoint}: {exc}") from None
     return store
 
 

@@ -1,5 +1,12 @@
 """Per-month attribute embeddings from the two graph patterns.
 
+Both graphs of a month are read off its communities x attributes sales
+matrix S: S itself is the weighted adjacency of the bipartite graph, and
+its support transposed, H = (S.T > 0), is the attributes x communities
+incidence of the hypergraph with one hyperedge per community.  The
+operators below are derived from S once per month and passed to the
+encoders as constants.
+
 Both encoders take that month's attribute features as input (the model
 passes its sales embedding), so an attribute's representation comes from
 what it sold and to whom, never from a per-attribute parameter.  The
@@ -7,57 +14,44 @@ bipartite encoder aggregates static community embeddings into each
 attribute (inductive GraphSage: sales-weighted mean over neighbors,
 concatenated with the attribute's own features, then L2 normalization).
 The hypergraph encoder applies the symmetrically normalized
-node-hyperedge-node convolution over the incidence matrix.  Community
-embeddings are read-only in both encoders; only attribute representations
-evolve.
+node-hyperedge-node convolution of HGNN.  Community embeddings are
+read-only in both encoders; only attribute representations evolve.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .snapshots import BipartiteSnapshot, Hypergraph
 
 
-def neighbor_mean_matrix(snapshot: BipartiteSnapshot) -> np.ndarray:
+def neighbor_mean_matrix(sales: np.ndarray) -> np.ndarray:
     """Attribute x community averaging operator weighted by edge sales.
 
-    Row j holds w_kj / sum_k w_kj at each neighbor k, where w_kj is the
-    weight of edge (k, j).  Isolated attributes get an all-zero row, so
-    their aggregated neighbor vector is zero.
+    ``sales`` is one month's communities x attributes matrix; row j of the
+    result holds S[k, j] / sum_k S[k, j] at each neighbor k.  Isolated
+    attributes get an all-zero row, so their aggregated neighbor vector is
+    zero.
     """
-    out = np.zeros((snapshot.n_attributes, snapshot.n_communities))
-    flat = np.fromiter(chain.from_iterable(snapshot.edges), dtype=np.float64,
-                       count=3 * len(snapshot.edges))
-    k, j, w = flat.reshape(-1, 3).T
-    out[j.astype(np.intp), k.astype(np.intp)] = w
+    out = sales.T.copy()
     totals = out.sum(axis=1, keepdims=True)
     np.divide(out, totals, out=out, where=totals > 0)
     return out
 
 
-def sage_encode(snapshot: BipartiteSnapshot | None, community_embed: Node,
-                attribute_features: Node, layer_weights: list[tuple[Node, Node]],
-                aggregator: Node | None = None) -> Node:
+def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Node,
+                layer_weights: list[tuple[Node, Node]]) -> Node:
     """Bipartite attribute encoding; one (aggregation, update) weight pair per layer.
 
+    ``aggregator`` is the month's ``neighbor_mean_matrix`` as a constant.
     Each layer computes the sales-weighted mean of neighbor community
     embeddings (times the aggregation weight), concatenates it with the
     attribute's current representation (``attribute_features`` at the first
     layer), applies the update weight and ReLU, and L2-normalizes rows.
-    ``aggregator`` may carry a precomputed ``neighbor_mean_matrix``
-    constant; otherwise it is built from the snapshot.
     """
     if not layer_weights:
         raise ValueError("sage_encode needs at least one layer")
-    if aggregator is None:
-        if snapshot is None:
-            raise ValueError("sage_encode needs a snapshot or a precomputed aggregator")
-        aggregator = ad.constant(neighbor_mean_matrix(snapshot))
     x = attribute_features
     for w_agg, w_update in layer_weights:
         neighbor = ad.matmul(aggregator, ad.matmul(community_embed, w_agg))
@@ -65,40 +59,39 @@ def sage_encode(snapshot: BipartiteSnapshot | None, community_embed: Node,
     return x
 
 
-def hypergraph_operator_factors(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Factored propagation operator (left, right) with left @ right equal to
-    Dv^-1/2 H W De^-1 H^T Dv^-1/2.
+def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factored propagation operator (left, right) of one month's sales matrix,
+    with left @ right equal to Dv^-1/2 H W De^-1 H^T Dv^-1/2.
 
-    Zero-degree vertices and hyperedges contribute zero instead of dividing
-    by zero, which leaves isolated vertices at exactly zero after ReLU.
+    H = (S.T > 0) is the incidence, every hyperedge weight W is 1, Dv counts
+    the hyperedges at each attribute and De the attributes in each
+    hyperedge.  Zero-degree vertices and hyperedges contribute zero instead
+    of dividing by zero, which leaves isolated vertices at exactly zero
+    after ReLU.
     """
-    d_inv_sqrt = np.zeros_like(hg.vertex_degrees)
-    nz_v = hg.vertex_degrees > 0
-    d_inv_sqrt[nz_v] = 1.0 / np.sqrt(hg.vertex_degrees[nz_v])
-    b_inv = np.zeros_like(hg.edge_degrees)
-    nz_e = hg.edge_degrees > 0
-    b_inv[nz_e] = 1.0 / hg.edge_degrees[nz_e]
-    left = d_inv_sqrt[:, None] * hg.incidence
-    right = (hg.edge_weights * b_inv)[:, None] * hg.incidence.T * d_inv_sqrt[None, :]
+    incidence = (sales.T > 0).astype(np.float64)
+    vertex_degrees = incidence.sum(axis=1)
+    edge_degrees = incidence.sum(axis=0)
+    d_inv_sqrt = np.zeros_like(vertex_degrees)
+    nz_v = vertex_degrees > 0
+    d_inv_sqrt[nz_v] = 1.0 / np.sqrt(vertex_degrees[nz_v])
+    b_inv = np.zeros_like(edge_degrees)
+    nz_e = edge_degrees > 0
+    b_inv[nz_e] = 1.0 / edge_degrees[nz_e]
+    left = d_inv_sqrt[:, None] * incidence
+    right = b_inv[:, None] * incidence.T * d_inv_sqrt[None, :]
     return left, right
 
 
-def hyperconv_encode(hg: Hypergraph | None, attribute_features: Node,
-                     layer_weights: list[Node],
-                     factors: tuple[Node, Node] | None = None) -> Node:
+def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node,
+                     layer_weights: list[Node]) -> Node:
     """Hypergraph attribute encoding; one mixing weight per layer.
 
-    Layer i maps X to relu(left @ (right @ (X @ P_i))) where left/right are
-    the factored symmetric-normalized propagation operator.  ``factors``
-    may carry precomputed constants for the current month.
+    ``factors`` holds the month's ``hypergraph_operator_factors`` as
+    constants.  Layer i maps X to relu(left @ (right @ (X @ P_i))).
     """
     if not layer_weights:
         raise ValueError("hyperconv_encode needs at least one layer")
-    if factors is None:
-        if hg is None:
-            raise ValueError("hyperconv_encode needs a hypergraph or precomputed factors")
-        left_arr, right_arr = hypergraph_operator_factors(hg)
-        factors = (ad.constant(left_arr), ad.constant(right_arr))
     left, right = factors
     x = attribute_features
     for mix in layer_weights:

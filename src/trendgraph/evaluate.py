@@ -16,21 +16,19 @@ import numpy as np
 
 from .errors import DataError, UndefinedAucError
 from .predictions import PredictionMatrix
-from .snapshots import Catalogs, InteractionRecord, TrendSample, observed_months, rank_lists_for_sales, sales_matrix
+from .snapshots import (Catalogs, InteractionRecord, TrendSample, observed_months,
+                        rank_lists_for_sales, sales_tensor)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(values, kind="mergesort")
     sorted_v = values[order]
+    # runs of equal sorted values; a run over positions i..j shares rank (i + j) / 2 + 1
+    starts = np.flatnonzero(np.concatenate([[True], sorted_v[1:] != sorted_v[:-1]]))
+    lengths = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((2 * starts + lengths - 1) / 2.0 + 1.0, lengths)
     return ranks
 
 
@@ -165,7 +163,7 @@ def mom_baseline(records: list[InteractionRecord], catalogs: Catalogs,
     prev = target_month - 1
     if span is None or not (span[0] <= prev <= span[1]):
         raise DataError(f"month {prev} needed by the month-on-month baseline is missing")
-    sales = sales_matrix(records, catalogs, prev)
+    sales = sales_tensor(records, catalogs, prev, prev)[0]
     lists = rank_lists_for_sales(sales, k_percent)
     if score_mode == "sales":
         scores = np.zeros_like(sales)

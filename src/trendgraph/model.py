@@ -139,7 +139,7 @@ def _gru_weights(store: ParameterStore, prefix: str) -> tp.GruWeights:
 
 @dataclass
 class GraphConstants:
-    """Per-month arrays derived once from the snapshots, reused every step."""
+    """Per-month arrays derived once from the sales tensor, reused every step."""
 
     aggregator: dict[int, np.ndarray]
     hyper_left: dict[int, np.ndarray]
@@ -150,14 +150,14 @@ class GraphConstants:
 
 
 def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstants:
-    aggregator = {m: enc.neighbor_mean_matrix(series.bipartite[m]) for m in series.months}
+    aggregator: dict[int, np.ndarray] = {}
     hyper_left: dict[int, np.ndarray] = {}
     hyper_right: dict[int, np.ndarray] = {}
-    for m in series.months:
-        left, right = enc.hypergraph_operator_factors(series.hypergraphs[m])
-        hyper_left[m] = left
-        hyper_right[m] = right
-    scaled = {m: tp.scale_sales(series.sales[m]) for m in series.months}
+    scaled: dict[int, np.ndarray] = {}
+    for m, sales in zip(series.months, series.sales):
+        aggregator[m] = enc.neighbor_mean_matrix(sales)
+        hyper_left[m], hyper_right[m] = enc.hypergraph_operator_factors(sales)
+        scaled[m] = tp.scale_sales(sales)
     patches: dict[int, np.ndarray] = {}
     positions = 1
     if config.sales_conv_axis == "community":
@@ -166,7 +166,7 @@ def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstan
     else:
         # trailing three months of per-attribute community totals, one window
         n_attributes = series.catalogs.n_attributes
-        totals = {m: np.log1p(series.sales[m].sum(axis=0)) for m in series.months}
+        totals = {m: np.log1p(sales.sum(axis=0)) for m, sales in zip(series.months, series.sales)}
         zero = np.zeros(n_attributes)
         for m in series.months:
             cols = [totals.get(m - 2, zero), totals.get(m - 1, zero), totals[m]]
@@ -202,13 +202,13 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
                                      consts.positions, kernel, conv_bias)
         parts: list[Node] = []
         if use_bipartite:
-            bip = enc.sage_encode(None, community_embed, sales, sage_layers,
-                                  aggregator=ad.constant(consts.aggregator[m]))
+            bip = enc.sage_encode(ad.constant(consts.aggregator[m]), community_embed,
+                                  sales, sage_layers)
             parts.append(ad.scale(bip, 1.0 - config.alpha) if scale_both else bip)
         if use_hyper:
-            hyp = enc.hyperconv_encode(None, sales, hyper_layers,
-                                       factors=(ad.constant(consts.hyper_left[m]),
-                                                ad.constant(consts.hyper_right[m])))
+            hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
+                                        ad.constant(consts.hyper_right[m])),
+                                       sales, hyper_layers)
             parts.append(ad.scale(hyp, config.alpha) if scale_both else hyp)
         parts.append(sales)
         x = parts[0]

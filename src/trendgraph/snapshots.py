@@ -1,10 +1,14 @@
-"""Monthly interaction records and the graph snapshots derived from them.
+"""Monthly interaction records and the sales tensor every consumer reads.
 
-Ingests the interaction CSV, builds per-month weighted bipartite graphs
-between communities and attribute tags, derives hypergraphs (one hyperedge
-per community, connecting every attribute that community bought that
-month), computes trend labels, and slices the timeline into fixed-length
-observation windows with a train/validation/test split.
+Ingests the interaction CSV into records, then fills one dense
+months x communities x attributes sales tensor from them.  That tensor is
+the only data representation: month m's communities x attributes matrix S
+is the weighted adjacency of its community-attribute bipartite graph, and
+the support of S transposed, (S.T > 0), is the incidence of its hypergraph
+(one hyperedge per community, connecting every attribute that community
+bought that month).  Trend labels come from per-month top-K% rank lists of
+the same tensor, and the timeline is sliced into fixed-length observation
+windows with a train/validation/test split.
 
 Months are abstract 1-based indices.  Attributes keep their catalog slot in
 every month, so tensor shapes are stable; a month without interactions for
@@ -55,47 +59,6 @@ class Catalogs:
 
     def attribute_index(self) -> dict[str, int]:
         return {a: j for j, a in enumerate(self.attributes)}
-
-
-@dataclass
-class BipartiteSnapshot:
-    """One month's weighted community-attribute graph.
-
-    ``edges`` holds (community_index, attribute_index, weight) triples with
-    one edge per interacting pair; ``adjacency[j]`` lists the communities
-    adjacent to attribute j.
-    """
-
-    month: int
-    n_communities: int
-    n_attributes: int
-    edges: list[tuple[int, int, int]]
-    adjacency: list[list[int]]
-
-    def attribute_degree(self, j: int) -> int:
-        return len(self.adjacency[j])
-
-
-@dataclass
-class Hypergraph:
-    """Incidence form of one month's hypergraph over attribute vertices.
-
-    Hyperedge e collects the attributes bought by community e that month;
-    all hyperedge weights are 1.  ``vertex_degrees[v]`` is the weighted
-    count of hyperedges containing v and ``edge_degrees[e]`` the vertex
-    count of hyperedge e.
-    """
-
-    month: int
-    incidence: np.ndarray
-    edge_weights: np.ndarray
-    vertex_degrees: np.ndarray
-    edge_degrees: np.ndarray
-    active_vertices: frozenset[int]
-
-    @property
-    def active_hyperedges(self) -> int:
-        return int((self.edge_degrees > 0).sum())
 
 
 @dataclass
@@ -186,17 +149,6 @@ def observed_months(records: list[InteractionRecord]) -> tuple[int, int] | None:
     return min(months), max(months)
 
 
-def sales_matrix(records: list[InteractionRecord], catalogs: Catalogs, month: int) -> np.ndarray:
-    """Dense per-month sales counts, communities x attributes."""
-    out = np.zeros((catalogs.n_communities, catalogs.n_attributes))
-    c_idx = catalogs.community_index()
-    a_idx = catalogs.attribute_index()
-    for r in records:
-        if r.month == month:
-            out[c_idx[r.community], a_idx[r.attribute]] += r.sales
-    return out
-
-
 def filter_min_sales(records: list[InteractionRecord], catalogs: Catalogs,
                      threshold: int, reference_month: int | None = None
                      ) -> tuple[Catalogs, list[InteractionRecord]]:
@@ -223,40 +175,25 @@ def filter_min_sales(records: list[InteractionRecord], catalogs: Catalogs,
     return new_catalogs, new_records
 
 
-def build_bipartite(records: list[InteractionRecord], catalogs: Catalogs, month: int) -> BipartiteSnapshot:
-    """One weighted edge per (community, attribute) pair interacting that month."""
+def sales_tensor(records: list[InteractionRecord], catalogs: Catalogs,
+                 first: int, last: int) -> np.ndarray:
+    """Dense sales of months first..last, shaped months x communities x attributes.
+
+    Entry [m - first, k, j] sums the sales of every record of month m,
+    community k and attribute j, so duplicate rows add up; records outside
+    the range are skipped and a month without records stays all zeros.
+    """
     c_idx = catalogs.community_index()
     a_idx = catalogs.attribute_index()
-    weights: dict[tuple[int, int], int] = {}
-    for r in records:
-        if r.month == month:
-            key = (c_idx[r.community], a_idx[r.attribute])
-            weights[key] = weights.get(key, 0) + r.sales
-    edges = sorted((k, j, w) for (k, j), w in weights.items())
-    adjacency: list[list[int]] = [[] for _ in range(catalogs.n_attributes)]
-    for k, j, _ in edges:
-        adjacency[j].append(k)
-    return BipartiteSnapshot(month=month, n_communities=catalogs.n_communities,
-                             n_attributes=catalogs.n_attributes, edges=edges,
-                             adjacency=adjacency)
-
-
-def to_hypergraph(snapshot: BipartiteSnapshot) -> Hypergraph:
-    """Turn a bipartite snapshot into its hypergraph incidence form.
-
-    Column k of the incidence matrix marks the attributes adjacent to
-    community k; hyperedge weights are all 1.
-    """
-    incidence = np.zeros((snapshot.n_attributes, snapshot.n_communities))
-    for k, j, _ in snapshot.edges:
-        incidence[j, k] = 1.0
-    edge_weights = np.ones(snapshot.n_communities)
-    vertex_degrees = (incidence * edge_weights).sum(axis=1)
-    edge_degrees = incidence.sum(axis=0)
-    active = frozenset(int(j) for j in np.flatnonzero(vertex_degrees > 0))
-    return Hypergraph(month=snapshot.month, incidence=incidence, edge_weights=edge_weights,
-                      vertex_degrees=vertex_degrees, edge_degrees=edge_degrees,
-                      active_vertices=active)
+    kept = [r for r in records if first <= r.month <= last]
+    n = len(kept)
+    months = np.fromiter((r.month - first for r in kept), np.intp, n)
+    communities = np.fromiter((c_idx[r.community] for r in kept), np.intp, n)
+    attributes = np.fromiter((a_idx[r.attribute] for r in kept), np.intp, n)
+    sales = np.fromiter((r.sales for r in kept), np.float64, n)
+    out = np.zeros((last - first + 1, catalogs.n_communities, catalogs.n_attributes))
+    np.add.at(out, (months, communities, attributes), sales)
+    return out
 
 
 def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]:
@@ -270,13 +207,23 @@ def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]
     lists: list[list[int]] = []
     for row in sales:
         active = np.flatnonzero(row > 0)
-        if active.size == 0:
-            lists.append([])
-            continue
         cutoff = math.ceil(k_percent / 100.0 * active.size)
-        order = sorted(active, key=lambda j: (-row[j], j))
-        lists.append([int(j) for j in order[:cutoff]])
+        order = active[np.argsort(-row[active], kind="stable")]
+        lists.append(order[:cutoff].tolist())
     return lists
+
+
+def _label_arrays(current: list[list[int]], prior: list[list[int]] | None,
+                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and validity from the target month's top lists and the year-back
+    ones; ``prior`` is None when the year-back month is unobserved."""
+    if prior is None:
+        return np.zeros(shape), np.zeros(shape)
+    labels = np.zeros(shape)
+    for k, (now, before) in enumerate(zip(current, prior)):
+        labels[k, now] = 1.0
+        labels[k, before] = 0.0
+    return labels, np.ones(shape)
 
 
 def compute_labels(records: list[InteractionRecord], catalogs: Catalogs,
@@ -290,22 +237,17 @@ def compute_labels(records: list[InteractionRecord], catalogs: Catalogs,
     """
     span = observed_months(records)
     shape = (catalogs.n_communities, catalogs.n_attributes)
-    labels = np.zeros(shape)
-    target_observed = span is not None and span[0] <= target_month <= span[1]
-    prior_observed = span is not None and span[0] <= target_month - 12 <= span[1]
-    if target_observed:
-        current = rank_lists_for_sales(sales_matrix(records, catalogs, target_month), k_percent)
-    else:
-        current = [[] for _ in range(catalogs.n_communities)]
-    if target_observed and prior_observed:
-        validity = np.ones(shape)
-        prior = rank_lists_for_sales(sales_matrix(records, catalogs, target_month - 12), k_percent)
-        for k in range(catalogs.n_communities):
-            fresh = set(current[k]) - set(prior[k])
-            for j in fresh:
-                labels[k, j] = 1.0
-    else:
-        validity = np.zeros(shape)
+
+    def observed(month: int) -> bool:
+        return span is not None and span[0] <= month <= span[1]
+
+    if not observed(target_month):
+        return LabelResult(labels=np.zeros(shape), validity=np.zeros(shape),
+                           rank_lists=[[] for _ in range(shape[0])])
+    sales = sales_tensor(records, catalogs, target_month - 12, target_month)
+    current = rank_lists_for_sales(sales[-1], k_percent)
+    prior = rank_lists_for_sales(sales[0], k_percent) if observed(target_month - 12) else None
+    labels, validity = _label_arrays(current, prior, shape)
     return LabelResult(labels=labels, validity=validity, rank_lists=current)
 
 
@@ -317,7 +259,8 @@ def build_windows(records: list[InteractionRecord], catalogs: Catalogs,
     The last window becomes the test sample and the second-to-last the
     validation sample; everything earlier trains.  With fewer than three
     windows the allocation runs from the end backwards (test, then valid)
-    and a warning is emitted.
+    and a warning is emitted.  Labels follow ``compute_labels``, from rank
+    lists computed once per month of the sales tensor.
     """
     span = observed_months(records)
     if span is None:
@@ -327,13 +270,16 @@ def build_windows(records: list[InteractionRecord], catalogs: Catalogs,
     if n_months < window_length + 1:
         raise InsufficientHistoryError(
             f"{n_months} months of data cannot form a {window_length}-month window plus target")
+    lists = [rank_lists_for_sales(month, k_percent)
+             for month in sales_tensor(records, catalogs, first, last)]
+    shape = (catalogs.n_communities, catalogs.n_attributes)
     samples: list[TrendSample] = []
     for start in range(first, last - window_length + 1):
         target = start + window_length
-        result = compute_labels(records, catalogs, target, k_percent)
+        prior = lists[target - 12 - first] if target - 12 >= first else None
+        labels, validity = _label_arrays(lists[target - first], prior, shape)
         samples.append(TrendSample(window_months=tuple(range(start, start + window_length)),
-                                   target_month=target, labels=result.labels,
-                                   validity=result.validity))
+                                   target_month=target, labels=labels, validity=validity))
     n = len(samples)
     if n >= 3:
         split = Split(train=tuple(range(n - 2)), valid=(n - 2,), test=(n - 1,))
@@ -348,13 +294,16 @@ def build_windows(records: list[InteractionRecord], catalogs: Catalogs,
 
 @dataclass
 class SnapshotSeries:
-    """Everything the model consumes: per-month graphs, sales, and samples."""
+    """Everything the model consumes: the monthly sales tensor and the samples.
+
+    ``sales[i]`` is the communities x attributes sales matrix of month
+    ``months[i]``; that month's bipartite graph and hypergraph are derived
+    from it (see the module docstring).
+    """
 
     catalogs: Catalogs
     months: tuple[int, ...]
-    bipartite: dict[int, BipartiteSnapshot]
-    hypergraphs: dict[int, Hypergraph]
-    sales: dict[int, np.ndarray]
+    sales: np.ndarray
     samples: list[TrendSample] = field(default_factory=list)
     split: Split = Split((), (), ())
 
@@ -363,12 +312,9 @@ class SnapshotSeries:
               window_length: int = 12, k_percent: float = 50.0) -> "SnapshotSeries":
         samples, split = build_windows(records, catalogs, window_length, k_percent)
         first, last = observed_months(records)
-        months = tuple(range(first, last + 1))
-        bipartite = {m: build_bipartite(records, catalogs, m) for m in months}
-        hypergraphs = {m: to_hypergraph(bipartite[m]) for m in months}
-        sales = {m: sales_matrix(records, catalogs, m) for m in months}
-        return cls(catalogs=catalogs, months=months, bipartite=bipartite,
-                   hypergraphs=hypergraphs, sales=sales, samples=samples, split=split)
+        return cls(catalogs=catalogs, months=tuple(range(first, last + 1)),
+                   sales=sales_tensor(records, catalogs, first, last),
+                   samples=samples, split=split)
 
     @property
     def last_month(self) -> int:

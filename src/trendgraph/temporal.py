@@ -1,8 +1,8 @@
-"""Temporal head: sales embedding, graph fusion, recurrent evolution, AR forecast.
+"""Temporal head: sales embedding, recurrent evolution, AR forecast.
 
 Per time step the model embeds that month's sales with a width-3
-convolution over the community axis, fuses the two graph embeddings with a
-fixed coefficient, and rolls two recurrent cells: a vanilla GRU and a
+convolution over the community axis (``model.forward`` fuses it with the
+two graph embeddings), and rolls two recurrent cells: a vanilla GRU and a
 skip GRU whose state reaches back ``p`` steps to track periodic patterns.
 A linear autoregressive term over the scaled sales history supplies a
 per-pair forecast added inside the final score.
@@ -30,19 +30,6 @@ def scale_sales(raw: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SalesSlice:
-    """One attribute's per-community sales for a single month, pre-transform."""
-
-    values: np.ndarray
-    transform: str = "log1p"
-
-    def scaled(self) -> np.ndarray:
-        if self.transform != "log1p":
-            raise ValueError(f"unknown sales transform {self.transform!r}")
-        return scale_sales(np.asarray(self.values, dtype=np.float64))
-
-
-@dataclass
 class GruWeights:
     """One recurrent cell's parameters; the two cells never share these."""
 
@@ -57,30 +44,14 @@ class GruWeights:
     b_c: Node
 
 
-def embed_sales(sales: SalesSlice, kernel: Node, bias: Node) -> Node:
-    """Project one attribute's community sales vector to a d-vector.
-
-    log1p scale, width-3 valid convolution along the community axis with d
-    filters, ReLU, then mean over positions.  Community axes shorter than
-    the kernel are left-padded with zeros.
-    """
-    scaled = sales.scaled()
-    if scaled.size < CONV_WIDTH:
-        scaled = np.concatenate([np.zeros(CONV_WIDTH - scaled.size), scaled])
-    signal = ad.constant(scaled.reshape(-1, 1))
-    conv = ad.relu(ad.add(ad.conv1d(signal, kernel, stride=1), bias))
-    positions = conv.rows
-    pool = ad.constant(np.full((1, positions), 1.0 / positions))
-    return ad.matmul(pool, conv)
-
-
 def sales_patch_matrix(scaled: np.ndarray) -> tuple[np.ndarray, int]:
     """Stacked convolution windows for every attribute of a scaled sales matrix.
 
     Input is communities x attributes; output stacks each attribute's
     community-axis windows vertically: (attributes * positions) x width,
-    plus the position count.  Equivalent to running ``embed_sales`` per
-    attribute, but lets one matmul against the kernel cover the whole month.
+    plus the position count, so one matmul against the kernel covers the
+    whole month.  Community axes shorter than the kernel are left-padded
+    with zeros.
     """
     n_c, n_a = scaled.shape
     if n_c < CONV_WIDTH:
@@ -93,18 +64,13 @@ def sales_patch_matrix(scaled: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def embed_sales_batch(patches: Node, positions: int, kernel: Node, bias: Node) -> Node:
-    """All-attribute sales embedding from precomputed convolution windows."""
+    """All-attribute sales embedding from precomputed convolution windows.
+
+    Per attribute: width-3 valid convolution with d filters, ReLU, then the
+    mean over positions, giving one d-vector per attribute.
+    """
     conv = ad.relu(ad.add(ad.matmul(patches, kernel), bias))
     return ad.block_row_mean(conv, positions)
-
-
-def fuse(bipartite_embed: Node, hypergraph_embed: Node, sales_embed: Node,
-         alpha: float) -> Node:
-    """Affine fusion: (1 - alpha) * bipartite + alpha * hypergraph + sales."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    mixed = ad.add(ad.scale(bipartite_embed, 1.0 - alpha), ad.scale(hypergraph_embed, alpha))
-    return ad.add(mixed, sales_embed)
 
 
 def gru_cell(x: Node, h_prev: Node, w: GruWeights) -> Node:

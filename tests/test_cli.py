@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trendgraph import cli
+from trendgraph.autodiff import ParameterStore
 
 TINY = [
     "communities=3",
@@ -133,6 +135,42 @@ class TestEvaluate:
                          "--out", str(out)])
         assert code == 0
         assert "d=6" in (out / "config.resolved").read_text()
+
+    def evaluate_damaged(self, tmp_path, data_dir, run_dir, checkpoint_bytes, capsys, *extra):
+        """Evaluate a checkpoint with the given contents beside the trained run's config."""
+        damaged = tmp_path / "damaged"
+        damaged.mkdir()
+        (damaged / "config.resolved").write_bytes((run_dir / "config.resolved").read_bytes())
+        checkpoint = damaged / "model.ckpt"
+        checkpoint.write_bytes(checkpoint_bytes)
+        code = cli.main(["evaluate", "--data", str(data_dir), "--checkpoint", str(checkpoint),
+                         "--out", str(tmp_path / "eval"), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert str(checkpoint) in err
+        return err
+
+    def test_checkpoint_with_an_unknown_parameter_is_usage_error(self, tmp_path, data_dir,
+                                                                 run_dir, capsys):
+        store = ParameterStore()
+        for name, value in ParameterStore.read_checkpoint(run_dir / "model.ckpt").items():
+            store.register(name, value)
+        store.register("attribute_embed", np.zeros((24, 6)))
+        store.save(tmp_path / "old.ckpt")
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir,
+                                    (tmp_path / "old.ckpt").read_bytes(), capsys)
+        assert "unexpected ['attribute_embed']" in err
+
+    def test_checkpoint_of_another_width_is_usage_error(self, tmp_path, data_dir, run_dir,
+                                                        capsys):
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir,
+                                    (run_dir / "model.ckpt").read_bytes(), capsys,
+                                    "--set", "d=4")
+        assert "do not conform" in err
+
+    def test_truncated_checkpoint_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):
+        data = (run_dir / "model.ckpt").read_bytes()
+        self.evaluate_damaged(tmp_path, data_dir, run_dir, data[:len(data) // 2], capsys)
 
 
 class TestPredict:

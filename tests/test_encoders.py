@@ -3,55 +3,64 @@ import pytest
 
 from trendgraph import autodiff as ad
 from trendgraph import encoders as enc
-from trendgraph import snapshots as snap
 
 
 def make_snapshot(adjacency, n_communities):
-    edges = [(k, j, 1) for j, ks in enumerate(adjacency) for k in ks]
-    return snap.BipartiteSnapshot(month=1, n_communities=n_communities,
-                                  n_attributes=len(adjacency), edges=edges,
-                                  adjacency=[sorted(ks) for ks in adjacency])
+    """Unit-sales communities x attributes matrix; adjacency[j] lists attribute j's communities."""
+    sales = np.zeros((n_communities, len(adjacency)))
+    for j, ks in enumerate(adjacency):
+        sales[list(ks), j] = 1.0
+    return sales
+
+
+def aggregator(sales):
+    return ad.constant(enc.neighbor_mean_matrix(sales))
+
+
+class HypergraphOperator(tuple):
+    """The (left, right) operator constants of one month's sales matrix, plus
+    the attributes x communities incidence that the oracle reads."""
 
 
 def make_hypergraph(incidence):
     incidence = np.asarray(incidence, dtype=float)
-    n_a, n_c = incidence.shape
-    snapshot = snap.BipartiteSnapshot(
-        month=1, n_communities=n_c, n_attributes=n_a,
-        edges=[(k, j, 1) for j in range(n_a) for k in range(n_c) if incidence[j, k]],
-        adjacency=[[k for k in range(n_c) if incidence[j, k]] for j in range(n_a)])
-    return snap.to_hypergraph(snapshot)
+    # one unit sale per incident (community, attribute) pair
+    left, right = enc.hypergraph_operator_factors(incidence.T.copy())
+    hg = HypergraphOperator((ad.constant(left), ad.constant(right)))
+    hg.incidence = incidence
+    return hg
 
 
 def two_stage_oracle(hg, features, mix):
-    """Loop-based node-hyperedge-node propagation with the same normalizations."""
+    """Loop-based node-hyperedge-node propagation with the same normalizations;
+    degrees are counted by loops over the incidence, every hyperedge weight is 1."""
     x = features @ mix
     n_a, n_c = hg.incidence.shape
+    vertex_degrees = [sum(hg.incidence[v, e] for e in range(n_c)) for v in range(n_a)]
+    edge_degrees = [sum(hg.incidence[v, e] for v in range(n_a)) for e in range(n_c)]
     edge_repr = np.zeros((n_c, x.shape[1]))
     for e in range(n_c):
         members = [v for v in range(n_a) if hg.incidence[v, e]]
         if not members:
             continue
         for v in members:
-            edge_repr[e] += x[v] / np.sqrt(hg.vertex_degrees[v])
-        edge_repr[e] *= hg.edge_weights[e] / hg.edge_degrees[e]
+            edge_repr[e] += x[v] / np.sqrt(vertex_degrees[v])
+        edge_repr[e] /= edge_degrees[e]
     out = np.zeros_like(x)
     for v in range(n_a):
-        if hg.vertex_degrees[v] == 0:
+        if vertex_degrees[v] == 0:
             continue
         for e in range(n_c):
             if hg.incidence[v, e]:
                 out[v] += edge_repr[e]
-        out[v] /= np.sqrt(hg.vertex_degrees[v])
+        out[v] /= np.sqrt(vertex_degrees[v])
     return np.maximum(out, 0.0)
 
 
 class TestNeighborMeanMatrix:
     def test_rows_weighted_by_edge_sales(self):
-        snapshot = snap.BipartiteSnapshot(month=1, n_communities=2, n_attributes=2,
-                                          edges=[(0, 0, 3), (1, 0, 1)],
-                                          adjacency=[[0, 1], []])
-        np.testing.assert_array_equal(enc.neighbor_mean_matrix(snapshot),
+        sales = np.array([[3.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(enc.neighbor_mean_matrix(sales),
                                       [[0.75, 0.25], [0.0, 0.0]])
 
     def test_matches_per_edge_loop_on_random_weighted_graphs(self):
@@ -60,54 +69,56 @@ class TestNeighborMeanMatrix:
             n_a, n_c = int(rng.integers(1, 9)), int(rng.integers(1, 6))
             edges = [(k, j, int(rng.integers(1, 100))) for k in range(n_c)
                      for j in range(n_a) if rng.random() < 0.5]
-            adjacency = [[k for k, jj, _ in edges if jj == j] for j in range(n_a)]
-            snapshot = snap.BipartiteSnapshot(month=1, n_communities=n_c, n_attributes=n_a,
-                                              edges=edges, adjacency=adjacency)
+            sales = np.zeros((n_c, n_a))
+            for k, j, w in edges:
+                sales[k, j] = w
             want = np.zeros((n_a, n_c))
             for j in range(n_a):
                 total = sum(w for _, jj, w in edges if jj == j)
                 for k, jj, w in edges:
                     if jj == j:
                         want[j, k] = w / total
-            np.testing.assert_allclose(enc.neighbor_mean_matrix(snapshot), want,
+            np.testing.assert_allclose(enc.neighbor_mean_matrix(sales), want,
                                        rtol=4 * np.finfo(float).eps, atol=0)
+            # the month's sales matrix is left as it was
+            assert all(sales[k, j] == w for k, j, w in edges)
 
 
 class TestSageEncode:
     def test_neighbor_mean_with_identity_weights(self):
-        snapshot = make_snapshot([[0, 1]], 2)
+        sales = make_snapshot([[0, 1]], 2)
         communities = ad.constant([[1.0, 3.0], [5.0, 7.0]])
         attributes = ad.constant([[0.0, 0.0]])
         w_agg = ad.constant(np.eye(2))
         # update weight passes only the neighbor half through
         w_update = ad.constant(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-        out = enc.sage_encode(snapshot, communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
         mean = np.array([3.0, 5.0])
         np.testing.assert_allclose(out.value[0], mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_self_selector_returns_normalized_embedding(self):
-        snapshot = make_snapshot([[0]], 1)
+        sales = make_snapshot([[0]], 1)
         communities = ad.constant([[2.0, 2.0]])
         attributes = ad.constant([[3.0, 4.0]])
         w_agg = ad.constant(np.eye(2))
         w_update = ad.constant(np.vstack([np.eye(2), np.zeros((2, 2))]))
-        out = enc.sage_encode(snapshot, communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
         np.testing.assert_allclose(out.value[0], [0.6, 0.8], atol=1e-12)
 
     def test_isolated_attribute_stays_zero_with_zero_weights(self):
-        snapshot = make_snapshot([[]], 2)
+        sales = make_snapshot([[]], 2)
         communities = ad.constant(np.ones((2, 3)))
         attributes = ad.constant(np.zeros((1, 3)))
         w_agg = ad.constant(np.zeros((3, 3)))
         w_update = ad.constant(np.zeros((6, 3)))
-        out = enc.sage_encode(snapshot, communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
         np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
 
     def test_output_rows_unit_norm_or_zero(self):
         rng = np.random.default_rng(3)
-        snapshot = make_snapshot([[0], [0, 1], []], 2)
+        sales = make_snapshot([[0], [0, 1], []], 2)
         out = enc.sage_encode(
-            snapshot,
+            aggregator(sales),
             ad.constant(rng.normal(size=(2, 4))),
             ad.constant(rng.normal(size=(3, 4))),
             [(ad.constant(rng.normal(size=(4, 4))), ad.constant(rng.normal(size=(8, 4))))])
@@ -116,16 +127,16 @@ class TestSageEncode:
             assert n == pytest.approx(1.0, abs=1e-12) or n == 0.0
 
     def test_requires_a_layer(self):
-        snapshot = make_snapshot([[0]], 1)
+        sales = make_snapshot([[0]], 1)
         with pytest.raises(ValueError, match="at least one layer"):
-            enc.sage_encode(snapshot, ad.constant([[1.0]]), ad.constant([[1.0]]), [])
+            enc.sage_encode(aggregator(sales), ad.constant([[1.0]]), ad.constant([[1.0]]), [])
 
 
 class TestHyperconvEncode:
     def test_single_hyperedge_averages_two_nodes(self):
         hg = make_hypergraph([[1], [1]])
-        left, right = enc.hypergraph_operator_factors(hg)
-        np.testing.assert_allclose(left @ right, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        left, right = hg
+        np.testing.assert_allclose(left.value @ right.value, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
         features = ad.constant([[2.0, 4.0], [6.0, 8.0]])
         out = enc.hyperconv_encode(hg, features, [ad.constant(np.eye(2))])
         np.testing.assert_allclose(out.value, [[4.0, 6.0], [4.0, 6.0]], atol=1e-12)
@@ -154,47 +165,45 @@ class TestHyperconvEncode:
 class TestEncoderProperties:
     def _random_setup(self, rng, n_c=3, n_a=5, d=4):
         adjacency = [[k for k in range(n_c) if rng.random() < 0.5] for _ in range(n_a)]
-        snapshot = make_snapshot(adjacency, n_c)
-        hg = snap.to_hypergraph(snapshot)
+        sales = make_snapshot(adjacency, n_c)
+        hg = make_hypergraph(sales.T)
         comm = rng.normal(size=(n_c, d))
         attr = rng.normal(size=(n_a, d))
         w_agg = rng.normal(size=(d, d))
         w_update = rng.normal(size=(2 * d, d))
         mix = rng.normal(size=(d, d))
-        return snapshot, hg, comm, attr, w_agg, w_update, mix
+        return sales, hg, comm, attr, w_agg, w_update, mix
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
-        snapshot, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
-        perm = rng.permutation(snapshot.n_attributes)
+        sales, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
+        perm = rng.permutation(sales.shape[1])
 
-        def encode(adjacency, attr_table):
-            s = make_snapshot(adjacency, snapshot.n_communities)
-            g = enc.sage_encode(s, ad.constant(comm), ad.constant(attr_table),
+        def encode(sales, attr_table):
+            g = enc.sage_encode(aggregator(sales), ad.constant(comm), ad.constant(attr_table),
                                 [(ad.constant(w_agg), ad.constant(w_update))])
-            h = enc.hyperconv_encode(snap.to_hypergraph(s), ad.constant(attr_table),
+            h = enc.hyperconv_encode(make_hypergraph(sales.T), ad.constant(attr_table),
                                      [ad.constant(mix)])
             return g.value, h.value
 
-        base_g, base_h = encode(snapshot.adjacency, attr)
-        permuted_adj = [snapshot.adjacency[j] for j in perm]
-        perm_g, perm_h = encode(permuted_adj, attr[perm])
+        base_g, base_h = encode(sales, attr)
+        perm_g, perm_h = encode(sales[:, perm], attr[perm])
         np.testing.assert_allclose(perm_g, base_g[perm], atol=1e-12)
         np.testing.assert_allclose(perm_h, base_h[perm], atol=1e-12)
 
     def test_gradients_pass_finite_differences(self):
         rng = np.random.default_rng(29)
-        snapshot, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
+        sales, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
         store = ad.ParameterStore()
         p_comm = store.register("comm", comm)
         p_attr = store.register("attr", attr)
         p_agg = store.register("agg", w_agg)
         p_upd = store.register("upd", w_update)
         p_mix = store.register("mix", mix)
-        readout = rng.normal(size=(snapshot.n_attributes, comm.shape[1]))
+        readout = rng.normal(size=(sales.shape[1], comm.shape[1]))
 
         def build():
-            g = enc.sage_encode(snapshot, p_comm, p_attr, [(p_agg, p_upd)])
+            g = enc.sage_encode(aggregator(sales), p_comm, p_attr, [(p_agg, p_upd)])
             h = enc.hyperconv_encode(hg, p_attr, [p_mix])
             mixed = ad.add(g, h)
             return ad.sum_all(ad.hadamard(mixed, ad.constant(readout)))
@@ -204,7 +213,7 @@ class TestEncoderProperties:
 
     def test_community_table_untouched_by_hyperconv_path(self):
         rng = np.random.default_rng(31)
-        snapshot, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
+        sales, hg, comm, attr, w_agg, w_update, mix = self._random_setup(rng)
         store = ad.ParameterStore()
         p_comm = store.register("comm", comm)
         p_attr = store.register("attr", attr)
@@ -215,7 +224,7 @@ class TestEncoderProperties:
         np.testing.assert_array_equal(p_comm.grad, np.zeros_like(comm))
 
         store.zero_grads()
-        out = enc.sage_encode(snapshot, p_comm, p_attr,
+        out = enc.sage_encode(aggregator(sales), p_comm, p_attr,
                               [(ad.constant(w_agg), ad.constant(w_update))])
         ad.backward(ad.sum_all(out))
         assert np.abs(p_comm.grad).max() > 0

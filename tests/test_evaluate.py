@@ -28,6 +28,10 @@ class TestAuc:
     def test_hand_computed_three_quarters(self):
         assert ev.auc([0.8, 0.4, 0.6, 0.2], [1, 1, 0, 0]) == pytest.approx(0.75)
 
+    def test_tied_values_share_their_average_rank(self):
+        np.testing.assert_array_equal(ev._average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])),
+                                      [4.0, 1.0, 4.0, 2.0, 4.0])
+
     def test_all_equal_scores_give_half(self):
         assert ev.auc([0.3, 0.3, 0.3, 0.3], [1, 0, 1, 0]) == pytest.approx(0.5)
 
@@ -102,7 +106,7 @@ class TestMomBaseline:
                             4, f"c{k}", f"a{j}", int(rng.integers(1, 30))))
             records.append(snap.InteractionRecord(5, "c0", "a0", 1))
             pred = ev.mom_baseline(records, catalogs, 5, 50)
-            sales = snap.sales_matrix(records, catalogs, 4)
+            sales = snap.sales_tensor(records, catalogs, 4, 4)[0]
             assert pred.ranked_lists == snap.rank_lists_for_sales(sales, 50)
 
     def test_membership_mode(self):

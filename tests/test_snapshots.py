@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from trendgraph import encoders as enc
 from trendgraph import snapshots as snap
 from trendgraph.errors import CsvFormatError, InsufficientHistoryError, NegativeSalesError
 
@@ -117,52 +118,90 @@ class TestFilterMinSales:
         assert catalogs.attributes == ("a1",)
 
 
+def sales_oracle(records, catalogs, first, last):
+    """Per-record += loop over the month range."""
+    out = np.zeros((last - first + 1, catalogs.n_communities, catalogs.n_attributes))
+    c_idx = catalogs.community_index()
+    a_idx = catalogs.attribute_index()
+    for r in records:
+        if first <= r.month <= last:
+            out[r.month - first, c_idx[r.community], a_idx[r.attribute]] += r.sales
+    return out
+
+
+class TestSalesTensor:
+    def test_matches_per_record_loop_with_duplicates_and_empty_months(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n_c, n_a = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            catalogs = snap.Catalogs(tuple(f"c{k}" for k in range(n_c)),
+                                     tuple(f"a{j}" for j in range(n_a)))
+            # months 1..8 drawn at random, so some months have no records and
+            # some (month, community, attribute) rows repeat
+            tuples = [(int(rng.integers(1, 9)), f"c{rng.integers(n_c)}",
+                       f"a{rng.integers(n_a)}", int(rng.integers(1, 50)))
+                      for _ in range(int(rng.integers(0, 30)))]
+            records = records_from_tuples(tuples)
+            first, last = int(rng.integers(0, 4)), int(rng.integers(4, 10))
+            np.testing.assert_array_equal(snap.sales_tensor(records, catalogs, first, last),
+                                          sales_oracle(records, catalogs, first, last))
+
+    def test_duplicate_rows_are_summed(self):
+        records = records_from_tuples([(2, "c1", "a1", 3), (2, "c1", "a1", 4), (1, "c1", "a1", 1)])
+        catalogs = snap.Catalogs(("c1",), ("a1",))
+        np.testing.assert_array_equal(snap.sales_tensor(records, catalogs, 1, 3),
+                                      [[[1.0]], [[7.0]], [[0.0]]])
+
+
 class TestBipartite:
+    """A month's sales matrix is its weighted community-attribute adjacency."""
+
     def test_one_edge_per_attribute_of_a_basket(self):
         records = records_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")])
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        g = snap.build_bipartite(records, catalogs, 1)
-        assert g.edges == [(0, 0, 1), (0, 1, 1), (0, 2, 1)]
+        sales = snap.sales_tensor(records, catalogs, 1, 1)[0]
+        np.testing.assert_array_equal(sales, [[1.0, 1.0, 1.0]])
 
     def test_empty_month(self):
         catalogs = snap.Catalogs(("c1",), ("a1",))
-        g = snap.build_bipartite([], catalogs, 5)
-        assert g.edges == [] and g.adjacency == [[]]
+        sales = snap.sales_tensor([], catalogs, 5, 5)
+        assert sales.shape == (1, 1, 1) and not sales.any()
 
     def test_shared_attribute_has_degree_two(self):
         records = records_from_tuples([(1, "c1", "a1", 2), (1, "c2", "a1", 7)])
         catalogs = snap.Catalogs(("c1", "c2"), ("a1",))
-        g = snap.build_bipartite(records, catalogs, 1)
-        assert len(g.edges) == 2
-        assert g.attribute_degree(0) == 2
-        assert g.adjacency[0] == [0, 1]
+        sales = snap.sales_tensor(records, catalogs, 1, 1)[0]
+        np.testing.assert_array_equal(sales, [[2.0], [7.0]])
+        assert np.count_nonzero(sales[:, 0]) == 2
+        np.testing.assert_array_equal(enc.neighbor_mean_matrix(sales), [[2 / 9, 7 / 9]])
 
 
 class TestHypergraph:
+    """The support of a month's sales matrix, transposed, is its hypergraph
+    incidence; the operator factors are derived from it."""
+
     def test_basket_becomes_one_hyperedge(self):
         records = records_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")])
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        hg = snap.to_hypergraph(snap.build_bipartite(records, catalogs, 1))
-        np.testing.assert_array_equal(hg.incidence, [[1.0], [1.0], [1.0]])
-        assert hg.edge_degrees[0] == 3
+        left, right = enc.hypergraph_operator_factors(snap.sales_tensor(records, catalogs, 1, 1)[0])
+        # three vertices of degree 1 in one hyperedge of degree 3
+        np.testing.assert_array_equal(left, [[1.0], [1.0], [1.0]])
+        np.testing.assert_array_equal(right, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_degrees_match_row_and_column_sums(self):
         incidence = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        snapshot = snap.BipartiteSnapshot(
-            month=1, n_communities=2, n_attributes=3,
-            edges=[(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 1)],
-            adjacency=[[0, 1], [0], [1]])
-        hg = snap.to_hypergraph(snapshot)
-        np.testing.assert_array_equal(hg.incidence, incidence)
-        np.testing.assert_array_equal(hg.vertex_degrees, [2.0, 1.0, 1.0])
-        np.testing.assert_array_equal(hg.edge_degrees, [2.0, 2.0])
+        sales = incidence.T * np.array([[5.0, 2.0, 0.0], [1.0, 0.0, 9.0]])
+        left, right = enc.hypergraph_operator_factors(sales)
+        # vertex degrees [2, 1, 1], hyperedge degrees [2, 2]
+        dv = np.array([2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(left, incidence / np.sqrt(dv)[:, None])
+        np.testing.assert_allclose(right, incidence.T / 2.0 / np.sqrt(dv)[None, :], rtol=1e-15)
 
     def test_empty_snapshot_gives_zero_degrees(self):
         catalogs = snap.Catalogs(("c1", "c2"), ("a1", "a2"))
-        hg = snap.to_hypergraph(snap.build_bipartite([], catalogs, 1))
-        assert not hg.incidence.any()
-        assert hg.active_hyperedges == 0
-        assert hg.active_vertices == frozenset()
+        left, right = enc.hypergraph_operator_factors(snap.sales_tensor([], catalogs, 1, 1)[0])
+        assert left.shape == (2, 2) and right.shape == (2, 2)
+        assert not left.any() and not right.any()
 
     def test_round_trip_reproduces_adjacency(self):
         rng = np.random.default_rng(42)
@@ -175,19 +214,21 @@ class TestHypergraph:
                 for j in range(n_a):
                     if rng.random() < 0.4:
                         tuples.append((1, f"c{k}", f"a{j}", int(rng.integers(1, 9))))
-            g = snap.build_bipartite(records_from_tuples(tuples), catalogs, 1)
-            hg = snap.to_hypergraph(g)
-            rebuilt = [sorted(int(k) for k in np.flatnonzero(hg.incidence[j]))
-                       for j in range(n_a)]
-            assert rebuilt == g.adjacency
-            # degree definitions against brute-force sums
+            pairs = {(c, a) for _, c, a, _ in tuples}
+            adjacency = [[k for k in range(n_c) if (f"c{k}", f"a{j}") in pairs]
+                         for j in range(n_a)]
+            sales = snap.sales_tensor(records_from_tuples(tuples), catalogs, 1, 1)[0]
+            left, right = enc.hypergraph_operator_factors(sales)
+            # both factors keep exactly the incidence pattern
+            assert [list(np.flatnonzero(left[j])) for j in range(n_a)] == adjacency
+            np.testing.assert_array_equal(right.T != 0, left != 0)
+            # degree definitions against brute-force counts over the records
             for j in range(n_a):
-                assert hg.vertex_degrees[j] == sum(
-                    hg.edge_weights[e] * hg.incidence[j, e] for e in range(n_c))
-            for e in range(n_c):
-                assert hg.edge_degrees[e] == sum(hg.incidence[j, e] for j in range(n_a))
-            present = {k for k, _, _ in g.edges}
-            assert hg.active_hyperedges == len(present)
+                for k in adjacency[j]:
+                    members = sum(k in ks for ks in adjacency)
+                    assert left[j, k] == pytest.approx(1.0 / np.sqrt(len(adjacency[j])), rel=1e-15)
+                    assert right[k, j] == pytest.approx(
+                        1.0 / (members * np.sqrt(len(adjacency[j]))), rel=1e-15)
 
 
 class TestLabels:
@@ -232,7 +273,7 @@ class TestLabels:
         for _ in range(100):
             tuples, catalogs = random_instance(rng)
             result = snap.compute_labels(tuples, catalogs, 13, 50)
-            sales = snap.sales_matrix(tuples, catalogs, 13)
+            sales = snap.sales_tensor(tuples, catalogs, 13, 13)[0]
             assert not np.any((result.labels > 0) & (sales == 0))
 
     def test_matches_brute_force_oracle_on_1000_random_instances(self):
@@ -310,6 +351,6 @@ class TestWindows:
         records, catalogs = self.make_records(25)
         series = snap.SnapshotSeries.build(records, catalogs)
         assert series.months == tuple(range(1, 26))
-        assert set(series.bipartite) == set(series.months)
-        assert series.sales[3].shape == (1, 2)
+        assert series.sales.shape == (25, 1, 2)
+        np.testing.assert_array_equal(series.sales[3], [[5.0, 26.0]])
         assert series.last_month == 25

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from trendgraph import autodiff as ad
+from trendgraph import encoders as enc
+from trendgraph import model as md
 from trendgraph import temporal as tp
 from trendgraph.errors import ShapeMismatchError
 
@@ -45,60 +47,94 @@ def scalar_gru_reference(xs, h0, w):
     return h
 
 
+def embed_sales_oracle(raw, kernel, bias):
+    """Per-attribute numpy loop: log1p, left-pad the community axis to the
+    kernel width, valid convolution, ReLU, mean over positions."""
+    width = kernel.shape[0]
+    out = np.zeros((raw.shape[1], kernel.shape[1]))
+    for j in range(raw.shape[1]):
+        signal = np.log1p(raw[:, j])
+        if signal.size < width:
+            signal = np.concatenate([np.zeros(width - signal.size), signal])
+        positions = signal.size - width + 1
+        for p in range(positions):
+            out[j] += np.maximum(signal[p:p + width] @ kernel + bias[0], 0.0)
+        out[j] /= positions
+    return out
+
+
+def embed_sales(raw, kernel, bias):
+    """The model's path: patch matrix of a communities x attributes month, then the batch embedding."""
+    patches, positions = tp.sales_patch_matrix(tp.scale_sales(np.asarray(raw, dtype=float)))
+    return tp.embed_sales_batch(ad.constant(patches), positions, ad.constant(kernel),
+                                ad.constant(bias)).value
+
+
 class TestEmbedSales:
     def test_zero_weights_give_zero(self):
-        sales = tp.SalesSlice(np.array([4.0, 2.0, 9.0, 1.0]))
-        out = tp.embed_sales(sales, ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((1, 2))))
-        np.testing.assert_array_equal(out.value, np.zeros((1, 2)))
+        out = embed_sales([[4.0], [2.0], [9.0], [1.0]], np.zeros((3, 2)), np.zeros((1, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_zero_sales_zero_bias_give_zero(self):
         rng = np.random.default_rng(2)
-        sales = tp.SalesSlice(np.zeros(5))
-        out = tp.embed_sales(sales, ad.constant(rng.normal(size=(3, 4))),
-                             ad.constant(np.zeros((1, 4))))
-        np.testing.assert_array_equal(out.value, np.zeros((1, 4)))
+        out = embed_sales(np.zeros((5, 1)), rng.normal(size=(3, 4)), np.zeros((1, 4)))
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_hand_convolution_seven_communities(self):
-        sales = tp.SalesSlice(np.full(7, math.e - 1.0))
-        out = tp.embed_sales(sales, ad.constant(np.ones((3, 1))), ad.constant(np.zeros((1, 1))))
-        assert out.value[0, 0] == pytest.approx(3.0, abs=1e-12)
+        out = embed_sales(np.full((7, 1), math.e - 1.0), np.ones((3, 1)), np.zeros((1, 1)))
+        assert out[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_short_community_axis_left_pads(self):
-        sales = tp.SalesSlice(np.array([math.e - 1.0]))
-        out = tp.embed_sales(sales, ad.constant(np.ones((3, 1))), ad.constant(np.zeros((1, 1))))
+        out = embed_sales([[math.e - 1.0]], np.ones((3, 1)), np.zeros((1, 1)))
         # padded signal is [0, 0, 1]: single position summing to 1
-        assert out.value[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_batch_embedding_matches_per_attribute(self):
         rng = np.random.default_rng(8)
-        raw = rng.integers(0, 30, size=(6, 5)).astype(float)
-        kernel = ad.constant(rng.normal(size=(3, 4)))
-        bias = ad.constant(rng.normal(size=(1, 4)))
-        patches, positions = tp.sales_patch_matrix(tp.scale_sales(raw))
-        batch = tp.embed_sales_batch(ad.constant(patches), positions, kernel, bias)
-        for j in range(raw.shape[1]):
-            single = tp.embed_sales(tp.SalesSlice(raw[:, j]), kernel, bias)
-            np.testing.assert_allclose(batch.value[j], single.value[0], atol=1e-12)
+        for n_communities in (1, 2, 6):
+            raw = rng.integers(0, 30, size=(n_communities, 5)).astype(float)
+            kernel = rng.normal(size=(3, 4))
+            bias = rng.normal(size=(1, 4))
+            np.testing.assert_allclose(embed_sales(raw, kernel, bias),
+                                       embed_sales_oracle(raw, kernel, bias), atol=1e-12)
 
 
 class TestFuse:
-    def test_alpha_endpoints(self):
-        g = ad.constant([[2.0, 0.0]])
-        h = ad.constant([[0.0, 2.0]])
-        s = ad.constant([[1.0, 1.0]])
-        np.testing.assert_array_equal(tp.fuse(g, h, s, 0.0).value, [[3.0, 1.0]])
-        np.testing.assert_array_equal(tp.fuse(g, h, s, 1.0).value, [[1.0, 3.0]])
+    """``model.forward`` feeds the GRUs (1 - alpha) * bipartite + alpha * hypergraph + sales."""
 
-    def test_alpha_midpoint(self):
-        g = ad.constant([[2.0, 0.0]])
-        h = ad.constant([[0.0, 2.0]])
-        s = ad.constant([[1.0, 1.0]])
-        np.testing.assert_array_equal(tp.fuse(g, h, s, 0.5).value, [[2.0, 2.0]])
+    def check(self, monkeypatch, series, alpha):
+        parts = {"sage_encode": [], "hyperconv_encode": [], "embed_sales_batch": []}
+        inputs = []
+        config = md.ModelConfig(d=4, seed=3, alpha=alpha)
+        store = md.initialize(config, series.catalogs)
+        with monkeypatch.context() as patch:
+            for module, name in ((enc, "sage_encode"), (enc, "hyperconv_encode"),
+                                 (tp, "embed_sales_batch")):
+                def recorded(*args, _fn=getattr(module, name), _seen=parts[name]):
+                    out = _fn(*args)
+                    _seen.append(out.value)
+                    return out
+                patch.setattr(module, name, recorded)
+            rollout = tp.gru_rollout
+            patch.setattr(tp, "gru_rollout",
+                          lambda xs, w: inputs.extend(x.value for x in xs) or rollout(xs, w))
+            md.forward(series, md.build_constants(series, config), series.samples[0],
+                       store, config)
+        assert len(inputs) == 12 and all(len(p) == 12 for p in parts.values())
+        for x, g, h, s in zip(inputs, parts["sage_encode"], parts["hyperconv_encode"],
+                              parts["embed_sales_batch"]):
+            np.testing.assert_array_equal(x, g * (1.0 - alpha) + h * alpha + s)
+
+    def test_alpha_endpoints(self, monkeypatch, tiny_series):
+        self.check(monkeypatch, tiny_series, 0.0)
+        self.check(monkeypatch, tiny_series, 1.0)
+
+    def test_alpha_midpoint(self, monkeypatch, tiny_series):
+        self.check(monkeypatch, tiny_series, 0.5)
 
     def test_alpha_domain(self):
-        g = ad.constant([[1.0]])
         with pytest.raises(ValueError, match="alpha"):
-            tp.fuse(g, g, g, 1.5)
+            md.ModelConfig(alpha=1.5).validate()
 
 
 class TestGru:
