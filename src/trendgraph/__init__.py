@@ -16,7 +16,7 @@ from .model import ModelConfig, TrainResult, grid_search, initialize, train
 from .predictions import PredictionMatrix
 from .snapshots import (
     Catalogs,
-    InteractionRecord,
+    MonthlySales,
     SnapshotSeries,
     TrendSample,
     build_windows,
@@ -35,8 +35,8 @@ __all__ = [
     "EvalReport",
     "GeneratorConfig",
     "InsufficientHistoryError",
-    "InteractionRecord",
     "ModelConfig",
+    "MonthlySales",
     "NegativeSalesError",
     "NonFiniteError",
     "NumericalError",

@@ -117,11 +117,6 @@ def parameter(data, name: str = "") -> Node:
     return Node(value, op="param", trainable=True, name=name)
 
 
-def _require_same_shape(a: Node, b: Node, op: str) -> None:
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatchError(f"{op}: shapes {a.value.shape} and {b.value.shape} do not conform")
-
-
 def matmul(a: Node, b: Node) -> Node:
     if a.cols != b.rows:
         raise ShapeMismatchError(f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform")

@@ -138,11 +138,11 @@ def _load_series(data_dir, model_config: ModelConfig) -> tuple:
     path = Path(data_dir) / "interactions.csv"
     if not path.exists():
         raise UsageError(f"interaction file not found: {path}")
-    catalogs, records = ingest(path)
-    series = SnapshotSeries.build(records, catalogs,
+    catalogs, monthly = ingest(path)
+    series = SnapshotSeries.build(monthly, catalogs,
                                   window_length=model_config.window_length,
                                   k_percent=model_config.k_percent)
-    return series, records
+    return series, monthly
 
 
 def cmd_generate(args) -> int:
@@ -161,20 +161,21 @@ def cmd_ingest(args) -> int:
     source = Path(args.input)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
-    catalogs, records = ingest(source)
-    filtered_catalogs, filtered = filter_min_sales(records, catalogs, args.min_sales)
+    catalogs, monthly = ingest(source)
+    filtered_catalogs, filtered = filter_min_sales(monthly, catalogs, args.min_sales)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "interactions.csv"
     with open(target, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("month,community,attribute,sales\n")
-        for r in filtered:
-            fh.write(f"{r.month},{r.community},{r.attribute},{r.sales}\n")
+        for m, k, j in np.argwhere(filtered.sales).tolist():
+            fh.write(f"{filtered.first_month + m},{catalogs.communities[k]},"
+                     f"{filtered_catalogs.attributes[j]},{int(filtered.sales[m, k, j])}\n")
     write_resolved(model_config, out, extra={"min_sales": args.min_sales,
                                              "kept_attributes": filtered_catalogs.n_attributes,
                                              "dropped_attributes": catalogs.n_attributes - filtered_catalogs.n_attributes})
     print(f"kept {filtered_catalogs.n_attributes} of {catalogs.n_attributes} attributes "
-          f"(min sales {args.min_sales} in month {max((r.month for r in records), default='-')})")
+          f"(min sales {args.min_sales} in month {monthly.last_month if monthly.months else '-'})")
     print(f"wrote {len(filtered)} records to {target}")
     return 0
 
@@ -213,6 +214,10 @@ def _restore_model(args, model_config: ModelConfig, series):
     except ValueError as exc:
         # wrong parameter names or shapes for this config, or a damaged file
         raise UsageError(f"cannot load checkpoint {checkpoint}: {exc}") from None
+    for name, node in store.items():
+        if not np.all(np.isfinite(node.value)):
+            raise UsageError(f"cannot load checkpoint {checkpoint}: "
+                             f"non-finite value in parameter '{name}'")
     return store
 
 
@@ -231,14 +236,14 @@ def _checkpoint_config(args) -> None:
 def cmd_evaluate(args) -> int:
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
-    series, records = _load_series(args.data, model_config)
+    series, monthly = _load_series(args.data, model_config)
     if not series.split.test:
         raise DataError("no test window available")
     store = _restore_model(args, model_config, series)
     consts = md.build_constants(series, model_config)
     test_samples = [series.samples[i] for i in series.split.test]
     model_preds = [md.predict(series, consts, s, store, model_config) for s in test_samples]
-    mom_preds = [mom_baseline(records, series.catalogs, s.target_month, model_config.k_percent)
+    mom_preds = [mom_baseline(monthly, series.catalogs, s.target_month, model_config.k_percent)
                  for s in test_samples]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

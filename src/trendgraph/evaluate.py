@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedAucError
 from .predictions import PredictionMatrix
-from .snapshots import (Catalogs, InteractionRecord, TrendSample, observed_months,
-                        rank_lists_for_sales, sales_tensor)
+from .snapshots import Catalogs, MonthlySales, TrendSample, rank_lists_for_sales
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -149,7 +148,7 @@ def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[Tren
     return EvalReport(rows=rows, macro_auc=macro_average(aucs))
 
 
-def mom_baseline(records: list[InteractionRecord], catalogs: Catalogs,
+def mom_baseline(monthly: MonthlySales, catalogs: Catalogs,
                  target_month: int, k_percent: float = 50.0,
                  score_mode: str = "sales") -> PredictionMatrix:
     """Month-on-month baseline: last month's top list is next month's forecast.
@@ -159,11 +158,10 @@ def mom_baseline(records: list[InteractionRecord], catalogs: Catalogs,
     for list members and 0 otherwise instead.  The attached ranked lists
     are the previous month's top-K% lists.
     """
-    span = observed_months(records)
     prev = target_month - 1
-    if span is None or not (span[0] <= prev <= span[1]):
+    sales = monthly.month(prev)
+    if sales is None:
         raise DataError(f"month {prev} needed by the month-on-month baseline is missing")
-    sales = sales_tensor(records, catalogs, prev, prev)[0]
     lists = rank_lists_for_sales(sales, k_percent)
     if score_mode == "sales":
         scores = np.zeros_like(sales)

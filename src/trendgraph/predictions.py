@@ -21,8 +21,8 @@ class PredictionMatrix:
     ranked_lists: list[list[int]] | None = None
 
     def __post_init__(self) -> None:
-        if np.any(self.scores < 0) or np.any(self.scores > 1):
-            raise ValueError("prediction scores must lie in [0, 1]")
+        if not np.all((self.scores >= 0) & (self.scores <= 1)):
+            raise ValueError("non-finite or out-of-range prediction scores; they must lie in [0, 1]")
 
     def top_lists(self, n: int) -> list[list[int]]:
         if self.ranked_lists is not None:

@@ -1,8 +1,8 @@
-"""Monthly interaction records and the sales tensor every consumer reads.
+"""The monthly sales tensor every consumer reads.
 
-Ingests the interaction CSV into records, then fills one dense
-months x communities x attributes sales tensor from them.  That tensor is
-the only data representation: month m's communities x attributes matrix S
+Ingesting the interaction CSV fills one dense months x communities x
+attributes sales tensor once, straight from its rows.  That tensor is the
+only data representation: month m's communities x attributes matrix S
 is the weighted adjacency of its community-attribute bipartite graph, and
 the support of S transposed, (S.T > 0), is the incidence of its hypergraph
 (one hyperedge per community, connecting every attribute that community
@@ -30,16 +30,6 @@ CSV_HEADER = ["month", "community", "attribute", "sales"]
 
 
 @dataclass(frozen=True)
-class InteractionRecord:
-    """One (month, community, attribute) purchase count; sales is always >= 1."""
-
-    month: int
-    community: str
-    attribute: str
-    sales: int
-
-
-@dataclass(frozen=True)
 class Catalogs:
     """Stable id -> index assignment for communities and attributes."""
 
@@ -54,11 +44,48 @@ class Catalogs:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def community_index(self) -> dict[str, int]:
-        return {c: k for k, c in enumerate(self.communities)}
 
-    def attribute_index(self) -> dict[str, int]:
-        return {a: j for j, a in enumerate(self.attributes)}
+@dataclass(frozen=True)
+class MonthlySales:
+    """Summed sales of every (month, community, attribute) cell.
+
+    ``sales[i]`` is the communities x attributes matrix of month
+    ``first_month + i``.  The first and the last month each hold sales; empty
+    data has zero months.  Build it with ``from_cells``.
+    """
+
+    first_month: int
+    sales: np.ndarray
+
+    @classmethod
+    def from_cells(cls, catalogs: Catalogs, months, communities, attributes,
+                   sales) -> "MonthlySales":
+        """Fill the tensor from parallel cell lists: a 1-based month, a community
+        and an attribute index, and a positive sales count.  Repeated cells add up."""
+        months = np.asarray(months, dtype=np.intp)
+        first = int(months.min()) if months.size else 1
+        n_months = int(months.max()) - first + 1 if months.size else 0
+        out = np.zeros((n_months, catalogs.n_communities, catalogs.n_attributes))
+        np.add.at(out, (months - first, np.asarray(communities, dtype=np.intp),
+                        np.asarray(attributes, dtype=np.intp)),
+                  np.asarray(sales, dtype=np.float64))
+        return cls(first, out)
+
+    @property
+    def last_month(self) -> int:
+        return self.first_month + self.sales.shape[0] - 1
+
+    @property
+    def months(self) -> range:
+        return range(self.first_month, self.last_month + 1)
+
+    def month(self, month: int) -> np.ndarray | None:
+        """One month's communities x attributes sales, or None outside the span."""
+        return self.sales[month - self.first_month] if month in self.months else None
+
+    def __len__(self) -> int:
+        """Number of (month, community, attribute) cells with sales."""
+        return int(np.count_nonzero(self.sales))
 
 
 @dataclass
@@ -87,113 +114,71 @@ class LabelResult:
     rank_lists: list[list[int]]
 
 
-def ingest(path) -> tuple[Catalogs, list[InteractionRecord]]:
-    """Read an interaction CSV, summing duplicates and dropping zero-sales rows.
+def ingest(path) -> tuple[Catalogs, MonthlySales]:
+    """Fill the sales tensor from an interaction CSV; duplicates add up, zero rows drop.
 
-    Catalogs keep first-appearance order (among rows with positive sales);
-    records come back sorted by (month, community index, attribute index).
+    Catalogs keep first-appearance order (among rows with positive sales).
     """
-    totals: dict[tuple[int, str, str], int] = {}
-    communities: list[str] = []
-    attributes: list[str] = []
-    seen_c: set[str] = set()
-    seen_a: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return Catalogs((), ()), []
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise CsvFormatError(
-                f"line 1: unknown columns {header!r}, expected {CSV_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise CsvFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            m_raw, community, attribute, s_raw = (f.strip() for f in row)
-            try:
-                month = int(m_raw)
-                sales = int(s_raw)
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: {exc}") from None
-            if month < 1:
-                raise CsvFormatError(f"line {lineno}: month must be >= 1, got {month}")
-            if not community or not attribute:
-                raise CsvFormatError(f"line {lineno}: empty community or attribute id")
-            if sales < 0:
-                raise NegativeSalesError(f"line {lineno}: negative sales {sales}")
-            if sales == 0:
-                continue
-            totals[(month, community, attribute)] = totals.get((month, community, attribute), 0) + sales
-            if community not in seen_c:
-                seen_c.add(community)
-                communities.append(community)
-            if attribute not in seen_a:
-                seen_a.add(attribute)
-                attributes.append(attribute)
-    catalogs = Catalogs(tuple(communities), tuple(attributes))
-    c_idx = catalogs.community_index()
-    a_idx = catalogs.attribute_index()
-    records = [InteractionRecord(m, c, a, s) for (m, c, a), s in totals.items()]
-    records.sort(key=lambda r: (r.month, c_idx[r.community], a_idx[r.attribute]))
-    return catalogs, records
+    community_ids: dict[str, int] = {}
+    attribute_ids: dict[str, int] = {}
+    months: list[int] = []
+    communities: list[int] = []
+    attributes: list[int] = []
+    sales_column: list[int] = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and [h.strip() for h in header] != CSV_HEADER:
+                raise CsvFormatError(
+                    f"line 1: unknown columns {header!r}, expected {CSV_HEADER!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 4:
+                    raise CsvFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
+                m_raw, community, attribute, s_raw = (f.strip() for f in row)
+                try:
+                    month = int(m_raw)
+                    sales = int(s_raw)
+                except ValueError as exc:
+                    raise CsvFormatError(f"line {lineno}: {exc}") from None
+                if month < 1:
+                    raise CsvFormatError(f"line {lineno}: month must be >= 1, got {month}")
+                if not community or not attribute:
+                    raise CsvFormatError(f"line {lineno}: empty community or attribute id")
+                if sales < 0:
+                    raise NegativeSalesError(f"line {lineno}: negative sales {sales}")
+                if sales == 0:
+                    continue
+                months.append(month)
+                communities.append(community_ids.setdefault(community, len(community_ids)))
+                attributes.append(attribute_ids.setdefault(attribute, len(attribute_ids)))
+                sales_column.append(sales)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason}: {bad!r})") from None
+    catalogs = Catalogs(tuple(community_ids), tuple(attribute_ids))
+    return catalogs, MonthlySales.from_cells(catalogs, months, communities, attributes,
+                                             sales_column)
 
 
-def observed_months(records: list[InteractionRecord]) -> tuple[int, int] | None:
-    """Closed month range covered by the records, or None when empty."""
-    if not records:
-        return None
-    months = [r.month for r in records]
-    return min(months), max(months)
+def filter_min_sales(monthly: MonthlySales, catalogs: Catalogs,
+                     threshold: int) -> tuple[Catalogs, MonthlySales]:
+    """Drop attributes whose latest-month total sales fall below threshold.
 
-
-def filter_min_sales(records: list[InteractionRecord], catalogs: Catalogs,
-                     threshold: int, reference_month: int | None = None
-                     ) -> tuple[Catalogs, list[InteractionRecord]]:
-    """Drop attributes whose reference-month total sales fall below threshold.
-
-    The default reference month is the latest one.  Dropped attributes
-    disappear from the catalog and from every month.
+    Dropped attributes disappear from the catalog and from every month;
+    months left without sales at either end of the range go too.
     """
-    span = observed_months(records)
-    if span is None:
-        return catalogs, []
-    if reference_month is None:
-        reference_month = span[1]
-    elif not (span[0] <= reference_month <= span[1]):
-        raise ValueError(f"reference month {reference_month} outside data range {span}")
-    totals: dict[str, int] = {a: 0 for a in catalogs.attributes}
-    for r in records:
-        if r.month == reference_month:
-            totals[r.attribute] += r.sales
-    kept = tuple(a for a in catalogs.attributes if totals[a] >= threshold)
-    kept_set = set(kept)
-    new_catalogs = Catalogs(catalogs.communities, kept)
-    new_records = [r for r in records if r.attribute in kept_set]
-    return new_catalogs, new_records
-
-
-def sales_tensor(records: list[InteractionRecord], catalogs: Catalogs,
-                 first: int, last: int) -> np.ndarray:
-    """Dense sales of months first..last, shaped months x communities x attributes.
-
-    Entry [m - first, k, j] sums the sales of every record of month m,
-    community k and attribute j, so duplicate rows add up; records outside
-    the range are skipped and a month without records stays all zeros.
-    """
-    c_idx = catalogs.community_index()
-    a_idx = catalogs.attribute_index()
-    kept = [r for r in records if first <= r.month <= last]
-    n = len(kept)
-    months = np.fromiter((r.month - first for r in kept), np.intp, n)
-    communities = np.fromiter((c_idx[r.community] for r in kept), np.intp, n)
-    attributes = np.fromiter((a_idx[r.attribute] for r in kept), np.intp, n)
-    sales = np.fromiter((r.sales for r in kept), np.float64, n)
-    out = np.zeros((last - first + 1, catalogs.n_communities, catalogs.n_attributes))
-    np.add.at(out, (months, communities, attributes), sales)
-    return out
+    if not monthly.months:
+        return catalogs, monthly
+    kept = monthly.sales[-1].sum(axis=0) >= threshold
+    new_catalogs = Catalogs(catalogs.communities,
+                            tuple(a for a, keep in zip(catalogs.attributes, kept) if keep))
+    sales = monthly.sales[:, :, kept]
+    cells = np.nonzero(sales)
+    return new_catalogs, MonthlySales.from_cells(new_catalogs, cells[0] + monthly.first_month,
+                                                 cells[1], cells[2], sales[cells])
 
 
 def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]:
@@ -226,7 +211,7 @@ def _label_arrays(current: list[list[int]], prior: list[list[int]] | None,
     return labels, np.ones(shape)
 
 
-def compute_labels(records: list[InteractionRecord], catalogs: Catalogs,
+def compute_labels(monthly: MonthlySales, catalogs: Catalogs,
                    target_month: int, k_percent: float = 50.0) -> LabelResult:
     """Label each (community, attribute) pair for the target month.
 
@@ -235,23 +220,19 @@ def compute_labels(records: list[InteractionRecord], catalogs: Catalogs,
     months earlier.  When the year-back month is unobserved the validity
     mask is all zeros and no labels are set.
     """
-    span = observed_months(records)
     shape = (catalogs.n_communities, catalogs.n_attributes)
-
-    def observed(month: int) -> bool:
-        return span is not None and span[0] <= month <= span[1]
-
-    if not observed(target_month):
+    now = monthly.month(target_month)
+    if now is None:
         return LabelResult(labels=np.zeros(shape), validity=np.zeros(shape),
                            rank_lists=[[] for _ in range(shape[0])])
-    sales = sales_tensor(records, catalogs, target_month - 12, target_month)
-    current = rank_lists_for_sales(sales[-1], k_percent)
-    prior = rank_lists_for_sales(sales[0], k_percent) if observed(target_month - 12) else None
+    before = monthly.month(target_month - 12)
+    current = rank_lists_for_sales(now, k_percent)
+    prior = None if before is None else rank_lists_for_sales(before, k_percent)
     labels, validity = _label_arrays(current, prior, shape)
     return LabelResult(labels=labels, validity=validity, rank_lists=current)
 
 
-def build_windows(records: list[InteractionRecord], catalogs: Catalogs,
+def build_windows(monthly: MonthlySales, catalogs: Catalogs,
                   window_length: int = 12, k_percent: float = 50.0
                   ) -> tuple[list[TrendSample], Split]:
     """Slide stride-1 windows over the month range and split them.
@@ -262,16 +243,12 @@ def build_windows(records: list[InteractionRecord], catalogs: Catalogs,
     and a warning is emitted.  Labels follow ``compute_labels``, from rank
     lists computed once per month of the sales tensor.
     """
-    span = observed_months(records)
-    if span is None:
-        raise InsufficientHistoryError("no interaction records")
-    first, last = span
-    n_months = last - first + 1
+    first, last = monthly.first_month, monthly.last_month
+    n_months = len(monthly.months)
     if n_months < window_length + 1:
         raise InsufficientHistoryError(
             f"{n_months} months of data cannot form a {window_length}-month window plus target")
-    lists = [rank_lists_for_sales(month, k_percent)
-             for month in sales_tensor(records, catalogs, first, last)]
+    lists = [rank_lists_for_sales(month, k_percent) for month in monthly.sales]
     shape = (catalogs.n_communities, catalogs.n_attributes)
     samples: list[TrendSample] = []
     for start in range(first, last - window_length + 1):
@@ -308,12 +285,10 @@ class SnapshotSeries:
     split: Split = Split((), (), ())
 
     @classmethod
-    def build(cls, records: list[InteractionRecord], catalogs: Catalogs,
+    def build(cls, monthly: MonthlySales, catalogs: Catalogs,
               window_length: int = 12, k_percent: float = 50.0) -> "SnapshotSeries":
-        samples, split = build_windows(records, catalogs, window_length, k_percent)
-        first, last = observed_months(records)
-        return cls(catalogs=catalogs, months=tuple(range(first, last + 1)),
-                   sales=sales_tensor(records, catalogs, first, last),
+        samples, split = build_windows(monthly, catalogs, window_length, k_percent)
+        return cls(catalogs=catalogs, months=tuple(monthly.months), sales=monthly.sales,
                    samples=samples, split=split)
 
     @property

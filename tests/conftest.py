@@ -1,27 +1,41 @@
 import numpy as np
 import pytest
 
-from trendgraph.snapshots import Catalogs, InteractionRecord, SnapshotSeries
+from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
 
-def random_records(seed, n_communities=3, n_attributes=5, months=15, density=0.7,
+def index_of(ids):
+    """Id -> catalog slot."""
+    return {name: i for i, name in enumerate(ids)}
+
+
+def monthly_from_tuples(tuples, catalogs):
+    """Sales of (month, community id, attribute id, sales) tuples; repeats add up."""
+    c_idx = index_of(catalogs.communities)
+    a_idx = index_of(catalogs.attributes)
+    return MonthlySales.from_cells(catalogs, [m for m, _, _, _ in tuples],
+                                   [c_idx[c] for _, c, _, _ in tuples],
+                                   [a_idx[a] for _, _, a, _ in tuples],
+                                   [s for _, _, _, s in tuples])
+
+
+def random_monthly(seed, n_communities=3, n_attributes=5, months=15, density=0.7,
                    max_sales=20):
     rng = np.random.default_rng(seed)
-    records = []
+    tuples = []
     for m in range(1, months + 1):
         for c in range(n_communities):
             for a in range(n_attributes):
                 if rng.random() < density:
-                    records.append(InteractionRecord(
-                        m, f"c{c}", f"a{a}", int(rng.integers(1, max_sales))))
+                    tuples.append((m, f"c{c}", f"a{a}", int(rng.integers(1, max_sales))))
     catalogs = Catalogs(tuple(f"c{c}" for c in range(n_communities)),
                         tuple(f"a{a}" for a in range(n_attributes)))
-    return records, catalogs
+    return monthly_from_tuples(tuples, catalogs), catalogs
 
 
 def small_series(seed=0, n_communities=3, n_attributes=5, months=15, **kwargs):
-    records, catalogs = random_records(seed, n_communities, n_attributes, months, **kwargs)
-    return SnapshotSeries.build(records, catalogs)
+    monthly, catalogs = random_monthly(seed, n_communities, n_attributes, months, **kwargs)
+    return SnapshotSeries.build(monthly, catalogs)
 
 
 @pytest.fixture

@@ -83,6 +83,42 @@ class TestIngest:
         code = cli.main(["ingest", "--input", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_output_is_sorted_summed_and_filtered(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join([
+            "month,community,attribute,sales",
+            "3,c2,a2,60",
+            "1,c1,a1,5",
+            "3,c1,a3,9",       # a3 totals 9 + 1 = 10 in month 3, below --min-sales 40
+            "2,c1,a2,0",       # zero sales: no cell
+            "3,c1,a1,30",
+            "2,c2,a1,4",
+            "3,c1,a1,15",      # duplicate cell: summed with the row above
+            "1,c2,a3,7",
+            "3,c2,a3,1",
+            "2,c1,a2,8",
+        ]) + "\n")
+        out = tmp_path / "ingested"
+        code = cli.main(["ingest", "--input", str(raw), "--min-sales", "40", "--out", str(out)])
+        assert code == 0
+        # catalog order is first appearance on a positive row: c2, c1 and a2, a1, a3
+        assert (out / "interactions.csv").read_bytes() == (
+            b"month,community,attribute,sales\n"
+            b"1,c1,a1,5\n"
+            b"2,c2,a1,4\n"
+            b"2,c1,a2,8\n"
+            b"3,c2,a2,60\n"
+            b"3,c1,a1,45\n")
+        resolved = (out / "config.resolved").read_text()
+        assert "kept_attributes=2" in resolved and "dropped_attributes=1" in resolved
+
+    def test_header_only_input_writes_a_header_only_file(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("month,community,attribute,sales\n")
+        out = tmp_path / "ingested"
+        assert cli.main(["ingest", "--input", str(raw), "--out", str(out)]) == 0
+        assert (out / "interactions.csv").read_bytes() == b"month,community,attribute,sales\n"
+
 
 class TestTrain:
     def test_writes_checkpoint_log_and_config(self, run_dir):
@@ -100,6 +136,18 @@ class TestTrain:
         code = cli.main(["train", "--config", tiny_config, "--data", str(short),
                          "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_non_utf8_csv_is_data_error_naming_the_file(self, tmp_path, tiny_config,
+                                                         data_dir, capsys):
+        latin = tmp_path / "latin"
+        latin.mkdir()
+        rows = (data_dir / "interactions.csv").read_bytes().splitlines(keepends=True)
+        rows[5] = rows[5].replace(b",c", b",\xffc", 1)
+        (latin / "interactions.csv").write_bytes(b"".join(rows))
+        code = cli.main(["train", "--config", tiny_config, "--data", str(latin),
+                         "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"{latin / 'interactions.csv'}: not UTF-8" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir):
         code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
@@ -172,6 +220,18 @@ class TestEvaluate:
         data = (run_dir / "model.ckpt").read_bytes()
         self.evaluate_damaged(tmp_path, data_dir, run_dir, data[:len(data) // 2], capsys)
 
+    def test_non_finite_checkpoint_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir, nan_checkpoint(run_dir), capsys)
+        assert "non-finite value in parameter 'community_embed'" in err
+
+
+def nan_checkpoint(run_dir):
+    """The trained checkpoint with its first community_embed value replaced by nan."""
+    lines = (run_dir / "model.ckpt").read_bytes().split(b"\n")
+    row = next(i for i, line in enumerate(lines) if line.startswith(b"community_embed ")) + 1
+    lines[row] = b" ".join([b"nan"] + lines[row].split()[1:])
+    return b"\n".join(lines)
+
 
 class TestPredict:
     def test_prints_top_n_per_community(self, data_dir, run_dir, capsys):
@@ -183,6 +243,19 @@ class TestPredict:
         assert len(community_lines) == 3
         for line in community_lines:
             assert len(line.split(":")[1].split()) == 4
+
+    def test_non_finite_checkpoint_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):
+        damaged = tmp_path / "damaged"
+        damaged.mkdir()
+        (damaged / "config.resolved").write_bytes((run_dir / "config.resolved").read_bytes())
+        (damaged / "model.ckpt").write_bytes(nan_checkpoint(run_dir))
+        code = cli.main(["predict", "--data", str(data_dir),
+                         "--checkpoint", str(damaged / "model.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert str(damaged / "model.ckpt") in captured.err
+        assert "non-finite value in parameter 'community_embed'" in captured.err
+        assert "predicted" not in captured.out
 
 
 class TestSweepAlpha:

@@ -6,6 +6,8 @@ from trendgraph import snapshots as snap
 from trendgraph.errors import DataError, UndefinedAucError
 from trendgraph.predictions import PredictionMatrix
 
+from conftest import monthly_from_tuples
+
 
 def pairwise_auc_oracle(scores, labels, tie_credit=True):
     """O(n^2) double loop straight from the pairwise definition."""
@@ -71,26 +73,25 @@ class TestAuc:
 
 
 class TestMomBaseline:
-    def records(self):
-        return [snap.InteractionRecord(1, "c1", "a1", 10),
-                snap.InteractionRecord(2, "c1", "a2", 5)]
+    def monthly(self):
+        return monthly_from_tuples([(1, "c1", "a1", 10), (2, "c1", "a2", 5)],
+                                   snap.Catalogs(("c1",), ("a1", "a2")))
 
     def test_min_max_endpoints(self):
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
-        pred = ev.mom_baseline(self.records(), catalogs, 2, 50)
+        pred = ev.mom_baseline(self.monthly(), catalogs, 2, 50)
         assert pred.scores[0, 0] == 1.0 and pred.scores[0, 1] == 0.0
 
     def test_all_zero_previous_month_scores_zero(self):
         catalogs = snap.Catalogs(("c1", "c2"), ("a1",))
-        records = [snap.InteractionRecord(1, "c1", "a1", 10),
-                   snap.InteractionRecord(2, "c2", "a1", 1)]
-        pred = ev.mom_baseline(records, catalogs, 2, 50)
+        monthly = monthly_from_tuples([(1, "c1", "a1", 10), (2, "c2", "a1", 1)], catalogs)
+        pred = ev.mom_baseline(monthly, catalogs, 2, 50)
         np.testing.assert_array_equal(pred.scores[1], [0.0])
 
     def test_missing_previous_month_errors(self):
-        catalogs = snap.Catalogs(("c1",), ("a1",))
+        catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
         with pytest.raises(DataError, match="month 0"):
-            ev.mom_baseline(self.records(), catalogs, 1, 50)
+            ev.mom_baseline(self.monthly(), catalogs, 1, 50)
 
     def test_ranked_lists_share_label_oracle_path(self):
         rng = np.random.default_rng(17)
@@ -98,24 +99,22 @@ class TestMomBaseline:
             n_c, n_a = int(rng.integers(1, 4)), int(rng.integers(1, 8))
             catalogs = snap.Catalogs(tuple(f"c{k}" for k in range(n_c)),
                                      tuple(f"a{j}" for j in range(n_a)))
-            records = []
+            tuples = []
             for k in range(n_c):
                 for j in range(n_a):
                     if rng.random() < 0.7:
-                        records.append(snap.InteractionRecord(
-                            4, f"c{k}", f"a{j}", int(rng.integers(1, 30))))
-            records.append(snap.InteractionRecord(5, "c0", "a0", 1))
-            pred = ev.mom_baseline(records, catalogs, 5, 50)
-            sales = snap.sales_tensor(records, catalogs, 4, 4)[0]
+                        tuples.append((4, f"c{k}", f"a{j}", int(rng.integers(1, 30))))
+            tuples.append((5, "c0", "a0", 1))
+            monthly = monthly_from_tuples(tuples, catalogs)
+            pred = ev.mom_baseline(monthly, catalogs, 5, 50)
+            sales = monthly.month(4)
             assert pred.ranked_lists == snap.rank_lists_for_sales(sales, 50)
 
     def test_membership_mode(self):
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        records = [snap.InteractionRecord(1, "c1", "a1", 9),
-                   snap.InteractionRecord(1, "c1", "a2", 5),
-                   snap.InteractionRecord(1, "c1", "a3", 2),
-                   snap.InteractionRecord(2, "c1", "a1", 1)]
-        pred = ev.mom_baseline(records, catalogs, 2, 50, score_mode="membership")
+        monthly = monthly_from_tuples([(1, "c1", "a1", 9), (1, "c1", "a2", 5),
+                                       (1, "c1", "a3", 2), (2, "c1", "a1", 1)], catalogs)
+        pred = ev.mom_baseline(monthly, catalogs, 2, 50, score_mode="membership")
         np.testing.assert_array_equal(pred.scores, [[1.0, 1.0, 0.0]])
 
 
@@ -181,6 +180,11 @@ class TestPredictionMatrix:
     def test_scores_domain_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             PredictionMatrix(scores=np.array([[1.5]]), target_month=1)
+
+    def test_non_finite_scores_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                PredictionMatrix(scores=np.array([[0.5, bad]]), target_month=1)
 
     def test_top_lists_break_ties_by_index(self):
         pred = PredictionMatrix(scores=np.array([[0.5, 0.9, 0.5, 0.1]]), target_month=1)

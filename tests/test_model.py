@@ -7,9 +7,9 @@ import pytest
 from trendgraph import autodiff as ad
 from trendgraph import model as md
 from trendgraph.errors import InsufficientHistoryError
-from trendgraph.snapshots import Catalogs, SnapshotSeries
+from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
-from conftest import random_records, small_series
+from conftest import random_monthly, small_series
 
 SMALL = md.ModelConfig(d=4, seed=3, batch_size=5, max_epochs=3, learning_rate=0.01)
 
@@ -84,19 +84,25 @@ class TestForward:
         np.testing.assert_allclose(part.value, full.value[:, 1:4], atol=1e-12)
 
     def test_scores_follow_a_permutation_of_the_attribute_catalog(self):
-        records, catalogs = random_records(seed=8)
+        monthly, catalogs = random_monthly(seed=8)
         perm = np.random.default_rng(4).permutation(catalogs.n_attributes)
         permuted = Catalogs(catalogs.communities,
                             tuple(catalogs.attributes[j] for j in perm))
+        # the permuted catalog's slot i holds attribute perm[i], so do the columns
+        moved = monthly.sales[:, :, perm]
+        cells = np.nonzero(moved)
+        permuted_monthly = MonthlySales.from_cells(permuted, cells[0] + monthly.first_month,
+                                                   cells[1], cells[2], moved[cells])
         config = replace(SMALL, ar_shared=True)
 
-        def scores(cats):
-            series = SnapshotSeries.build(records, cats)
+        def scores(monthly, cats):
+            series = SnapshotSeries.build(monthly, cats)
             store = md.initialize(config, cats)
             consts = md.build_constants(series, config)
             return md.forward(series, consts, series.samples[0], store, config).value
 
-        np.testing.assert_allclose(scores(permuted), scores(catalogs)[:, perm], atol=1e-12)
+        np.testing.assert_allclose(scores(permuted_monthly, permuted),
+                                   scores(monthly, catalogs)[:, perm], atol=1e-12)
 
     def test_time_axis_variant_runs_and_differs(self, tiny_series):
         store = md.initialize(SMALL, tiny_series.catalogs)

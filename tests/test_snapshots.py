@@ -7,6 +7,8 @@ from trendgraph import encoders as enc
 from trendgraph import snapshots as snap
 from trendgraph.errors import CsvFormatError, InsufficientHistoryError, NegativeSalesError
 
+from conftest import index_of, monthly_from_tuples
+
 
 def write_csv(tmp_path, rows, header="month,community,attribute,sales"):
     path = tmp_path / "interactions.csv"
@@ -15,50 +17,50 @@ def write_csv(tmp_path, rows, header="month,community,attribute,sales"):
     return path
 
 
-def records_from_tuples(tuples):
-    return [snap.InteractionRecord(m, c, a, s) for m, c, a, s in tuples]
+def cells_of(monthly):
+    """(month, community index, attribute index, sales) of every cell with
+    sales, in that order."""
+    return [(monthly.first_month + m, k, j, monthly.sales[m, k, j])
+            for m, k, j in np.argwhere(monthly.sales).tolist()]
 
 
-def brute_force_labels(records, catalogs, target_month, k_percent):
+def brute_force_labels(monthly, catalogs, target_month, k_percent):
     """Independent oracle: sort everything, slice, set-difference."""
+    cells = cells_of(monthly)
 
     def top_list(month, community):
-        pairs = {}
-        for r in records:
-            if r.month == month and r.community == community:
-                pairs[r.attribute] = pairs.get(r.attribute, 0) + r.sales
-        pairs = {a: s for a, s in pairs.items() if s > 0}
+        pairs = {j: s for m, k, j, s in cells if m == month and k == community}
         if not pairs:
             return set()
-        a_idx = catalogs.attribute_index()
-        ordered = sorted(pairs, key=lambda a: (-pairs[a], a_idx[a]))
+        ordered = sorted(pairs, key=lambda j: (-pairs[j], j))
         size = math.ceil(k_percent / 100.0 * len(ordered))
         return set(ordered[:size])
 
-    months = [r.month for r in records]
+    months = [m for m, _, _, _ in cells]
     labels = np.zeros((catalogs.n_communities, catalogs.n_attributes))
     if not months or not (min(months) <= target_month - 12 and target_month <= max(months)):
         return labels
-    a_idx = catalogs.attribute_index()
-    for k, c in enumerate(catalogs.communities):
-        fresh = top_list(target_month, c) - top_list(target_month - 12, c)
-        for a in fresh:
-            labels[k, a_idx[a]] = 1.0
+    for k in range(catalogs.n_communities):
+        fresh = top_list(target_month, k) - top_list(target_month - 12, k)
+        for j in fresh:
+            labels[k, j] = 1.0
     return labels
 
 
 class TestIngest:
     def test_duplicates_are_summed(self, tmp_path):
         path = write_csv(tmp_path, ["1,c1,a1,3", "1,c1,a1,2"])
-        catalogs, records = snap.ingest(path)
-        assert records == [snap.InteractionRecord(1, "c1", "a1", 5)]
+        catalogs, monthly = snap.ingest(path)
+        assert monthly.first_month == 1 and len(monthly) == 1
+        np.testing.assert_array_equal(monthly.sales, [[[5.0]]])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        catalogs, records = snap.ingest(path)
+        catalogs, monthly = snap.ingest(path)
         assert catalogs.n_communities == 0 and catalogs.n_attributes == 0
-        assert records == []
+        assert len(monthly) == 0 and not monthly.months
+        assert monthly.sales.shape == (0, 0, 0)
 
     def test_negative_sales_rejected_with_line_number(self, tmp_path):
         path = write_csv(tmp_path, ["1,c1,a1,4", "1,c1,a1,-2"])
@@ -75,57 +77,81 @@ class TestIngest:
         with pytest.raises(CsvFormatError, match="line 3"):
             snap.ingest(path)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"month,community,attribute,sales\n1,c\xff,a1,4\n")
+        with pytest.raises(CsvFormatError, match="latin1.csv: not UTF-8"):
+            snap.ingest(path)
+
     def test_zero_sales_rows_mean_no_edge(self, tmp_path):
         path = write_csv(tmp_path, ["1,c1,a1,0", "2,c1,a2,3"])
-        catalogs, records = snap.ingest(path)
+        catalogs, monthly = snap.ingest(path)
         assert catalogs.attributes == ("a2",)
-        assert len(records) == 1
+        assert len(monthly) == 1
+        # the zero-sales row neither adds a catalog slot nor opens month 1
+        assert monthly.months == range(2, 3)
 
     def test_catalog_first_appearance_order_and_sorted_records(self, tmp_path):
         path = write_csv(tmp_path, ["2,c2,a2,1", "1,c1,a1,1", "2,c1,a3,4"])
-        catalogs, records = snap.ingest(path)
+        catalogs, monthly = snap.ingest(path)
         assert catalogs.communities == ("c2", "c1")
         assert catalogs.attributes == ("a2", "a1", "a3")
-        assert [(r.month, r.community, r.attribute) for r in records] == [
+        assert [(m, catalogs.communities[k], catalogs.attributes[j])
+                for m, k, j, _ in cells_of(monthly)] == [
             (1, "c1", "a1"), (2, "c2", "a2"), (2, "c1", "a3")]
 
 
 class TestFilterMinSales:
-    def tuples(self):
-        return records_from_tuples([
+    def monthly(self):
+        return monthly_from_tuples([
             (1, "c1", "a1", 200), (1, "c1", "a2", 500),
             (2, "c1", "a1", 99), (2, "c1", "a2", 150), (2, "c2", "a2", 1),
-        ])
+        ], self.catalogs())
 
     def catalogs(self):
         return snap.Catalogs(("c1", "c2"), ("a1", "a2", "a3"))
 
     def test_threshold_zero_is_identity(self):
-        catalogs, records = snap.filter_min_sales(self.tuples(), self.catalogs(), 0)
+        catalogs, monthly = snap.filter_min_sales(self.monthly(), self.catalogs(), 0)
         assert catalogs.attributes == ("a1", "a2", "a3")
-        assert len(records) == 5
+        assert len(monthly) == 5
+        np.testing.assert_array_equal(monthly.sales, self.monthly().sales)
 
     def test_below_threshold_removed_everywhere(self):
-        catalogs, records = snap.filter_min_sales(self.tuples(), self.catalogs(), 100)
+        catalogs, monthly = snap.filter_min_sales(self.monthly(), self.catalogs(), 100)
         # a1 totals 99 in the latest month, a3 totals 0: both go; a2 keeps 151
         assert catalogs.attributes == ("a2",)
-        assert all(r.attribute == "a2" for r in records)
-        assert any(r.month == 1 for r in records)
+        np.testing.assert_array_equal(monthly.sales, [[[500.0], [0.0]], [[150.0], [1.0]]])
+        assert monthly.first_month == 1
 
     def test_absent_in_reference_month_removed(self):
-        records = records_from_tuples([(1, "c1", "a3", 1000), (2, "c1", "a1", 100)])
-        catalogs, filtered = snap.filter_min_sales(records, self.catalogs(), 100)
+        monthly = monthly_from_tuples([(1, "c1", "a3", 1000), (2, "c1", "a1", 100)],
+                                      self.catalogs())
+        catalogs, filtered = snap.filter_min_sales(monthly, self.catalogs(), 100)
         assert catalogs.attributes == ("a1",)
 
+    def test_months_left_empty_at_the_start_are_dropped(self):
+        # a3 is the only attribute sold in month 1 and falls below the threshold
+        monthly = monthly_from_tuples([(1, "c1", "a3", 1000), (2, "c2", "a1", 7),
+                                       (3, "c1", "a1", 100), (3, "c2", "a3", 4)],
+                                      self.catalogs())
+        catalogs, filtered = snap.filter_min_sales(monthly, self.catalogs(), 100)
+        assert catalogs.attributes == ("a1",)
+        assert filtered.first_month == 2 and filtered.last_month == 3
+        np.testing.assert_array_equal(filtered.sales, [[[0.0], [7.0]], [[100.0], [0.0]]])
 
-def sales_oracle(records, catalogs, first, last):
-    """Per-record += loop over the month range."""
+
+def sales_oracle(tuples, catalogs):
+    """Per-tuple += loop over the tuples' month range."""
+    if not tuples:
+        return np.zeros((0, catalogs.n_communities, catalogs.n_attributes))
+    first = min(m for m, _, _, _ in tuples)
+    last = max(m for m, _, _, _ in tuples)
     out = np.zeros((last - first + 1, catalogs.n_communities, catalogs.n_attributes))
-    c_idx = catalogs.community_index()
-    a_idx = catalogs.attribute_index()
-    for r in records:
-        if first <= r.month <= last:
-            out[r.month - first, c_idx[r.community], a_idx[r.attribute]] += r.sales
+    c_idx = index_of(catalogs.communities)
+    a_idx = index_of(catalogs.attributes)
+    for m, c, a, s in tuples:
+        out[m - first, c_idx[c], a_idx[a]] += s
     return out
 
 
@@ -136,41 +162,54 @@ class TestSalesTensor:
             n_c, n_a = int(rng.integers(1, 5)), int(rng.integers(1, 7))
             catalogs = snap.Catalogs(tuple(f"c{k}" for k in range(n_c)),
                                      tuple(f"a{j}" for j in range(n_a)))
-            # months 1..8 drawn at random, so some months have no records and
-            # some (month, community, attribute) rows repeat
+            # months 1..8 drawn at random, so some months have no sales and
+            # some (month, community, attribute) cells repeat
             tuples = [(int(rng.integers(1, 9)), f"c{rng.integers(n_c)}",
                        f"a{rng.integers(n_a)}", int(rng.integers(1, 50)))
                       for _ in range(int(rng.integers(0, 30)))]
-            records = records_from_tuples(tuples)
-            first, last = int(rng.integers(0, 4)), int(rng.integers(4, 10))
-            np.testing.assert_array_equal(snap.sales_tensor(records, catalogs, first, last),
-                                          sales_oracle(records, catalogs, first, last))
+            monthly = monthly_from_tuples(tuples, catalogs)
+            want = sales_oracle(tuples, catalogs)
+            np.testing.assert_array_equal(monthly.sales, want)
+            assert monthly.sales.dtype == np.float64 and monthly.sales.flags["C_CONTIGUOUS"]
+            assert len(monthly) == len({(m, c, a) for m, c, a, _ in tuples})
+            if tuples:
+                assert monthly.months == range(min(t[0] for t in tuples),
+                                               max(t[0] for t in tuples) + 1)
+            else:
+                assert not monthly.months
 
     def test_duplicate_rows_are_summed(self):
-        records = records_from_tuples([(2, "c1", "a1", 3), (2, "c1", "a1", 4), (1, "c1", "a1", 1)])
         catalogs = snap.Catalogs(("c1",), ("a1",))
-        np.testing.assert_array_equal(snap.sales_tensor(records, catalogs, 1, 3),
-                                      [[[1.0]], [[7.0]], [[0.0]]])
+        monthly = monthly_from_tuples([(2, "c1", "a1", 3), (2, "c1", "a1", 4),
+                                       (1, "c1", "a1", 1)], catalogs)
+        np.testing.assert_array_equal(monthly.sales, [[[1.0]], [[7.0]]])
+        assert (monthly.first_month, monthly.last_month, len(monthly)) == (1, 2, 2)
+
+    def test_month_reads_one_slice(self):
+        catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
+        monthly = monthly_from_tuples([(3, "c1", "a2", 5), (5, "c1", "a1", 2)], catalogs)
+        np.testing.assert_array_equal(monthly.month(3), [[0.0, 5.0]])
+        np.testing.assert_array_equal(monthly.month(4), [[0.0, 0.0]])
+        assert monthly.month(2) is None and monthly.month(6) is None
 
 
 class TestBipartite:
     """A month's sales matrix is its weighted community-attribute adjacency."""
 
     def test_one_edge_per_attribute_of_a_basket(self):
-        records = records_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")])
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        sales = snap.sales_tensor(records, catalogs, 1, 1)[0]
+        sales = monthly_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")],
+                                    catalogs).sales[0]
         np.testing.assert_array_equal(sales, [[1.0, 1.0, 1.0]])
 
     def test_empty_month(self):
         catalogs = snap.Catalogs(("c1",), ("a1",))
-        sales = snap.sales_tensor([], catalogs, 5, 5)
-        assert sales.shape == (1, 1, 1) and not sales.any()
+        monthly = monthly_from_tuples([(4, "c1", "a1", 1), (6, "c1", "a1", 1)], catalogs)
+        assert monthly.sales.shape == (3, 1, 1) and not monthly.month(5).any()
 
     def test_shared_attribute_has_degree_two(self):
-        records = records_from_tuples([(1, "c1", "a1", 2), (1, "c2", "a1", 7)])
         catalogs = snap.Catalogs(("c1", "c2"), ("a1",))
-        sales = snap.sales_tensor(records, catalogs, 1, 1)[0]
+        sales = monthly_from_tuples([(1, "c1", "a1", 2), (1, "c2", "a1", 7)], catalogs).sales[0]
         np.testing.assert_array_equal(sales, [[2.0], [7.0]])
         assert np.count_nonzero(sales[:, 0]) == 2
         np.testing.assert_array_equal(enc.neighbor_mean_matrix(sales), [[2 / 9, 7 / 9]])
@@ -181,9 +220,9 @@ class TestHypergraph:
     incidence; the operator factors are derived from it."""
 
     def test_basket_becomes_one_hyperedge(self):
-        records = records_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")])
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        left, right = enc.hypergraph_operator_factors(snap.sales_tensor(records, catalogs, 1, 1)[0])
+        monthly = monthly_from_tuples([(1, "c1", a, 1) for a in ("a1", "a2", "a3")], catalogs)
+        left, right = enc.hypergraph_operator_factors(monthly.sales[0])
         # three vertices of degree 1 in one hyperedge of degree 3
         np.testing.assert_array_equal(left, [[1.0], [1.0], [1.0]])
         np.testing.assert_array_equal(right, [[1 / 3, 1 / 3, 1 / 3]])
@@ -199,7 +238,8 @@ class TestHypergraph:
 
     def test_empty_snapshot_gives_zero_degrees(self):
         catalogs = snap.Catalogs(("c1", "c2"), ("a1", "a2"))
-        left, right = enc.hypergraph_operator_factors(snap.sales_tensor([], catalogs, 1, 1)[0])
+        monthly = monthly_from_tuples([(1, "c1", "a1", 1), (3, "c2", "a2", 1)], catalogs)
+        left, right = enc.hypergraph_operator_factors(monthly.month(2))
         assert left.shape == (2, 2) and right.shape == (2, 2)
         assert not left.any() and not right.any()
 
@@ -217,12 +257,14 @@ class TestHypergraph:
             pairs = {(c, a) for _, c, a, _ in tuples}
             adjacency = [[k for k in range(n_c) if (f"c{k}", f"a{j}") in pairs]
                          for j in range(n_a)]
-            sales = snap.sales_tensor(records_from_tuples(tuples), catalogs, 1, 1)[0]
+            # with no sales at all there is no month to read
+            sales = (monthly_from_tuples(tuples, catalogs).sales[0] if tuples
+                     else np.zeros((n_c, n_a)))
             left, right = enc.hypergraph_operator_factors(sales)
             # both factors keep exactly the incidence pattern
             assert [list(np.flatnonzero(left[j])) for j in range(n_a)] == adjacency
             np.testing.assert_array_equal(right.T != 0, left != 0)
-            # degree definitions against brute-force counts over the records
+            # degree definitions against brute-force counts over the tuples
             for j in range(n_a):
                 for k in adjacency[j]:
                     members = sum(k in ks for ks in adjacency)
@@ -239,7 +281,7 @@ class TestLabels:
                   (13, "c1", "a4", 1), (1, "c1", "a1", 9), (1, "c1", "a3", 4),
                   (1, "c1", "a4", 1)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3", "a4"))
-        result = snap.compute_labels(records_from_tuples(tuples), catalogs, 13, 50)
+        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
         np.testing.assert_array_equal(result.labels, [[0.0, 1.0, 0.0, 0.0]])
         assert result.rank_lists == [[0, 1]]
         assert result.validity.all()
@@ -247,7 +289,7 @@ class TestLabels:
     def test_no_sales_no_labels(self):
         tuples = [(1, "c1", "a1", 5)]
         catalogs = snap.Catalogs(("c1",), ("a1",))
-        result = snap.compute_labels(records_from_tuples(tuples), catalogs, 13, 50)
+        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
         # month 13 is outside the observed range: mask all zeros, no labels
         assert not result.labels.any()
         assert not result.validity.any()
@@ -256,14 +298,14 @@ class TestLabels:
         tuples = [(1, "c1", "a1", 5), (1, "c1", "a2", 1),
                   (13, "c1", "a1", 7), (13, "c1", "a2", 2)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
-        result = snap.compute_labels(records_from_tuples(tuples), catalogs, 13, 50)
+        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
         assert result.validity.all()
         assert not result.labels.any()
 
     def test_year_back_unobserved_sets_mask_to_zero(self):
         tuples = [(5, "c1", "a1", 5), (17, "c1", "a2", 5), (14, "c1", "a1", 1)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
-        result = snap.compute_labels(records_from_tuples(tuples), catalogs, 14, 50)
+        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 14, 50)
         # month 2 is before the observed range starts
         assert not result.validity.any()
         assert not result.labels.any()
@@ -271,18 +313,20 @@ class TestLabels:
     def test_positive_label_requires_positive_sales(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            tuples, catalogs = random_instance(rng)
-            result = snap.compute_labels(tuples, catalogs, 13, 50)
-            sales = snap.sales_tensor(tuples, catalogs, 13, 13)[0]
-            assert not np.any((result.labels > 0) & (sales == 0))
+            monthly, catalogs = random_instance(rng)
+            result = snap.compute_labels(monthly, catalogs, 13, 50)
+            if result.validity.any():
+                assert not np.any((result.labels > 0) & (monthly.month(13) == 0))
+            else:
+                assert not result.labels.any()
 
     def test_matches_brute_force_oracle_on_1000_random_instances(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
-            tuples, catalogs = random_instance(rng)
+            monthly, catalogs = random_instance(rng)
             k = float(rng.choice([10, 25, 50, 75, 100]))
-            got = snap.compute_labels(tuples, catalogs, 13, k)
-            want = brute_force_labels(tuples, catalogs, 13, k)
+            got = snap.compute_labels(monthly, catalogs, 13, k)
+            want = brute_force_labels(monthly, catalogs, 13, k)
             np.testing.assert_array_equal(got.labels, want)
 
 
@@ -299,20 +343,21 @@ def random_instance(rng):
                     tuples.append((month, c, a, int(rng.integers(1, 12))))
     if not tuples:
         tuples.append((1, catalogs.communities[0], catalogs.attributes[0], 1))
-    return records_from_tuples(tuples), catalogs
+    return monthly_from_tuples(tuples, catalogs), catalogs
 
 
 class TestWindows:
-    def make_records(self, n_months):
+    def make_monthly(self, n_months):
         tuples = []
         for m in range(1, n_months + 1):
             tuples.append((m, "c1", "a1", 1 + m))
             tuples.append((m, "c1", "a2", 30 - m))
-        return records_from_tuples(tuples), snap.Catalogs(("c1",), ("a1", "a2"))
+        catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
+        return monthly_from_tuples(tuples, catalogs), catalogs
 
     def test_25_months_gives_11_1_1(self):
-        records, catalogs = self.make_records(25)
-        samples, split = snap.build_windows(records, catalogs, 12)
+        monthly, catalogs = self.make_monthly(25)
+        samples, split = snap.build_windows(monthly, catalogs, 12)
         assert len(samples) == 13
         assert len(split.train) == 11 and len(split.valid) == 1 and len(split.test) == 1
         assert samples[split.test[0]].target_month == 25
@@ -320,36 +365,36 @@ class TestWindows:
         assert samples[0].window_months == tuple(range(1, 13))
 
     def test_13_months_gives_single_test_window_with_warning(self):
-        records, catalogs = self.make_records(13)
+        monthly, catalogs = self.make_monthly(13)
         with pytest.warns(UserWarning, match="only 1 window"):
-            samples, split = snap.build_windows(records, catalogs, 12)
+            samples, split = snap.build_windows(monthly, catalogs, 12)
         assert len(samples) == 1
         assert split.train == () and split.valid == () and split.test == (0,)
 
     def test_14_months_gives_valid_and_test(self):
-        records, catalogs = self.make_records(14)
+        monthly, catalogs = self.make_monthly(14)
         with pytest.warns(UserWarning, match="only 2 windows"):
-            samples, split = snap.build_windows(records, catalogs, 12)
+            samples, split = snap.build_windows(monthly, catalogs, 12)
         assert split.train == () and split.valid == (0,) and split.test == (1,)
 
     def test_12_months_is_insufficient(self):
-        records, catalogs = self.make_records(12)
+        monthly, catalogs = self.make_monthly(12)
         with pytest.raises(InsufficientHistoryError):
-            snap.build_windows(records, catalogs, 12)
+            snap.build_windows(monthly, catalogs, 12)
 
     def test_window_count_formula(self):
         rng = np.random.default_rng(5)
         for n_months in (13, 16, 20, 25, 31):
-            records, catalogs = self.make_records(n_months)
+            monthly, catalogs = self.make_monthly(n_months)
             import warnings as w
             with w.catch_warnings():
                 w.simplefilter("ignore")
-                samples, _ = snap.build_windows(records, catalogs, 12)
+                samples, _ = snap.build_windows(monthly, catalogs, 12)
             assert len(samples) == n_months - 12
 
     def test_series_build_collects_every_month(self):
-        records, catalogs = self.make_records(25)
-        series = snap.SnapshotSeries.build(records, catalogs)
+        monthly, catalogs = self.make_monthly(25)
+        series = snap.SnapshotSeries.build(monthly, catalogs)
         assert series.months == tuple(range(1, 26))
         assert series.sales.shape == (25, 1, 2)
         np.testing.assert_array_equal(series.sales[3], [[5.0, 26.0]])

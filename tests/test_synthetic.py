@@ -6,6 +6,8 @@ import pytest
 from trendgraph import snapshots as snap
 from trendgraph.synthetic import GeneratorConfig, generate, write_dataset
 
+from conftest import index_of
+
 SMALL = GeneratorConfig(communities=3, attributes=40, months=25, seed=11)
 
 
@@ -44,33 +46,33 @@ class TestGenerate:
         interactions, _ = write_dataset(dataset, tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            catalogs, records = snap.ingest(interactions)
+            catalogs, monthly = snap.ingest(interactions)
         assert catalogs.n_communities == SMALL.communities
-        assert sum(r.sales for r in records) == sum(s for _, _, _, s in dataset.rows)
+        assert monthly.sales.sum() == sum(s for _, _, _, s in dataset.rows)
 
     def test_surge_free_noise_free_data_has_mostly_stable_ranks(self, tmp_path):
         quiet = replace(SMALL, attributes=120, noise=0.0, surge_factor=1.0,
                         onset_rate=0.0)
         dataset = generate(quiet)
         interactions, _ = write_dataset(dataset, tmp_path)
-        catalogs, records = snap.ingest(interactions)
-        result = snap.compute_labels(records, catalogs, quiet.months, 50)
+        catalogs, monthly = snap.ingest(interactions)
+        result = snap.compute_labels(monthly, catalogs, quiet.months, 50)
         assert result.validity.all()
         assert result.labels.mean() < 0.15
 
     def test_planted_onsets_are_recovered_by_the_label_rule(self, tmp_path):
         dataset = generate(GeneratorConfig())
         interactions, _ = write_dataset(dataset, tmp_path)
-        catalogs, records = snap.ingest(interactions)
-        c_idx = catalogs.community_index()
-        a_idx = catalogs.attribute_index()
+        catalogs, monthly = snap.ingest(interactions)
+        c_idx = index_of(catalogs.communities)
+        a_idx = index_of(catalogs.attributes)
         by_month: dict[int, list] = {}
         for m, c, a in dataset.annotations:
             if m >= 13:
                 by_month.setdefault(m, []).append((c, a))
         hits = total = 0
         for month, pairs in by_month.items():
-            labels = snap.compute_labels(records, catalogs, month, 50).labels
+            labels = snap.compute_labels(monthly, catalogs, month, 50).labels
             for c, a in pairs:
                 total += 1
                 hits += labels[c_idx[c], a_idx[a]] == 1.0
