@@ -44,7 +44,9 @@ class Node:
     The gradient buffer is allocated lazily (most constants never need one)
     and always matches the value's shape.  ``needs_grad`` marks whether any
     trainable parameter is reachable through ``parents``; backward traversal
-    prunes everything else.
+    prunes everything else.  A node that needs no gradient keeps neither its
+    parents nor its backward rule, so a forward over constants builds no
+    graph and frees each intermediate once nothing downstream reads it.
     """
 
     __slots__ = ("value", "op", "parents", "trainable", "needs_grad", "name", "_grad", "_backward")
@@ -52,11 +54,13 @@ class Node:
     def __init__(self, value: Matrix, op: str = "leaf", parents: tuple = (),
                  backward: Callable[[Matrix], None] | None = None,
                  trainable: bool = False, name: str = ""):
+        self.needs_grad = trainable or any(p.needs_grad for p in parents)
+        if not self.needs_grad:
+            parents, backward = (), None
         self.value = value
         self.op = op
         self.parents = parents
         self.trainable = trainable
-        self.needs_grad = trainable or any(p.needs_grad for p in parents)
         self.name = name
         self._grad = None
         self._backward = backward
@@ -293,11 +297,14 @@ def row_l2_normalize(a: Node) -> Node:
 
 
 def slice_block(a: Node, rows: tuple[int, int], cols: tuple[int, int]) -> Node:
+    """The window ``[r0:r1, c0:c1]`` of ``a``; a window covering ``a`` is ``a`` itself."""
     r0, r1 = rows
     c0, c1 = cols
     if not (0 <= r0 < r1 <= a.rows and 0 <= c0 < c1 <= a.cols):
         raise ShapeMismatchError(
             f"slice_block: window rows={rows} cols={cols} outside shape {a.value.shape}")
+    if (r1 - r0, c1 - c0) == a.value.shape:
+        return a
     value = np.ascontiguousarray(a.value[r0:r1, c0:c1])
 
     def backward(g: Matrix) -> None:
@@ -319,19 +326,37 @@ def sum_all(a: Node) -> Node:
     return Node(value, op="sum", parents=(a,), backward=backward)
 
 
-def block_row_mean(a: Node, block: int) -> Node:
-    """Mean over consecutive row blocks: (n*block) x m becomes n x m."""
-    if block < 1 or a.rows % block != 0:
+def affine_relu_block_mean(x: Node, w: Node, b: Node, block: int) -> Node:
+    """Mean over consecutive row blocks of relu(x @ w + b): (n*block) rows become n.
+
+    The arithmetic is that of ``relu(add(matmul(x, w), b))`` followed by a
+    block mean, operation for operation, so values and gradients equal the
+    chain's bit for bit; but one buffer holds the affine map and its ReLU in
+    place and serves backward as the ReLU mask.
+    """
+    if x.cols != w.rows or b.value.shape != (1, w.cols):
         raise ShapeMismatchError(
-            f"block_row_mean: row count {a.rows} not divisible by block {block}")
-    n = a.rows // block
-    value = a.value.reshape(n, block, a.cols).mean(axis=1)
+            f"affine_relu_block_mean: shapes {x.value.shape}, {w.value.shape} and "
+            f"{b.value.shape} do not conform")
+    if block < 1 or x.rows % block != 0:
+        raise ShapeMismatchError(
+            f"affine_relu_block_mean: row count {x.rows} not divisible by block {block}")
+    z = x.value @ w.value
+    z += b.value
+    np.maximum(z, 0.0, out=z)
+    value = z.reshape(x.rows // block, block, w.cols).mean(axis=1)
 
     def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_owned(np.repeat(g / block, block, axis=0))
+        gz = np.repeat(g / block, block, axis=0)
+        np.multiply(gz, z > 0.0, out=gz)
+        if x.needs_grad:
+            x.accumulate_owned(gz @ w.value.T)
+        if w.needs_grad:
+            w.accumulate_owned(x.value.T @ gz)
+        if b.needs_grad:
+            b.accumulate_owned(gz.sum(axis=0, keepdims=True))
 
-    return Node(value, op="block_row_mean", parents=(a,), backward=backward)
+    return Node(value, op="affine_relu_block_mean", parents=(x, w, b), backward=backward)
 
 
 def masked_bce(scores: Node, labels: Matrix, mask: Matrix, eps: float = 1e-7) -> Node:

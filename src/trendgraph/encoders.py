@@ -84,16 +84,22 @@ def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node,
-                     layer_weights: list[Node]) -> Node:
-    """Hypergraph attribute encoding; one mixing weight per layer.
+                     layer_weights: list[Node], rows: tuple[int, int] | None = None) -> Node:
+    """Hypergraph attribute encoding of the attributes in ``rows``; one mixing
+    weight per layer.
 
     ``factors`` holds the month's ``hypergraph_operator_factors`` as
-    constants.  Layer i maps X to relu(left @ (right @ (X @ P_i))).
+    constants and ``attribute_features`` covers every attribute.  Layer i maps
+    X to relu(left @ (right @ (X @ P_i))).  Every layer but the last needs all
+    attributes, because ``right`` reads them all; the last applies only the
+    rows ``rows`` (default all) of ``left``.
     """
     if not layer_weights:
         raise ValueError("hyperconv_encode needs at least one layer")
     left, right = factors
+    last_left = left if rows is None else ad.slice_block(left, rows, (0, left.cols))
     x = attribute_features
-    for mix in layer_weights:
-        x = ad.relu(ad.matmul(left, ad.matmul(right, ad.matmul(x, mix))))
+    for i, mix in enumerate(layer_weights):
+        applied = last_left if i == len(layer_weights) - 1 else left
+        x = ad.relu(ad.matmul(applied, ad.matmul(right, ad.matmul(x, mix))))
     return x

@@ -1,13 +1,13 @@
 """Full model assembly, training loop, and hyperparameter grid search.
 
-The forward pass, per window month: embed that month's sales, encode
-attributes through the bipartite (sales-weighted neighbor mean) and
-hypergraph patterns with that sales embedding as the attribute input, fuse
-the two encodings with the mixing coefficient plus the sales embedding, and
-roll both recurrent cells.  Apart from the per-pair autoregressive
-coefficients (when ``ar_shared`` is off), no parameter belongs to a single
-attribute, so the model learns from sales and graph structure rather than
-from attribute identity.  The final score for a
+The forward pass, per window month: embed that month's sales for the whole
+catalog, encode the scored attributes through the bipartite (sales-weighted
+neighbor mean) and hypergraph patterns with that sales embedding as the
+attribute input, fuse the two encodings with the mixing coefficient plus the
+sales embedding, and roll both recurrent cells.  Apart from the per-pair
+autoregressive coefficients (when ``ar_shared`` is off), no parameter belongs
+to a single attribute, so the model learns from sales and graph structure
+rather than from attribute identity.  The final score for a
 (community, attribute) pair is the sigmoid of the community embedding's dot
 product with the evolved attribute state plus the autoregressive sales
 forecast.
@@ -33,7 +33,7 @@ from . import encoders as enc
 from . import evaluate as ev
 from . import temporal as tp
 from .autodiff import Node, ParameterStore
-from .errors import InsufficientHistoryError, NonFiniteError
+from .errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from .predictions import PredictionMatrix
 from .snapshots import Catalogs, SnapshotSeries, TrendSample
 
@@ -180,11 +180,21 @@ def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstan
 def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
             store: ParameterStore, config: ModelConfig,
             attr_range: tuple[int, int] | None = None) -> Node:
-    """Score node for one sample, communities x attributes (or a column range)."""
+    """Score node for one sample: communities x the attributes ``[a0, a1)`` of
+    ``attr_range`` (default all).
+
+    Only the sales embedding covers the whole catalog, because the hypergraph
+    reads every attribute; both encoders, the fusion, the recurrent cells and
+    the AR term see the range's rows alone.  ``store`` maps parameter names to
+    nodes: a ``ParameterStore`` for training, constants for inference.
+    """
     catalogs = series.catalogs
     n_attributes = catalogs.n_attributes
-    a0, a1 = attr_range if attr_range is not None else (0, n_attributes)
-    whole = (a0, a1) == (0, n_attributes)
+    a0, a1 = rows = attr_range if attr_range is not None else (0, n_attributes)
+    if not 0 <= a0 < a1 <= n_attributes:
+        raise ShapeMismatchError(
+            f"attr_range {attr_range} is not a non-empty range of the "
+            f"{n_attributes} attributes")
     d = config.d
     community_embed = store["community_embed"]
     use_bipartite = config.ablation != "hypergraph-only"
@@ -200,22 +210,21 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     for m in sample.window_months:
         sales = tp.embed_sales_batch(ad.constant(consts.patches[m]),
                                      consts.positions, kernel, conv_bias)
+        batch_sales = ad.slice_block(sales, rows, (0, d))
         parts: list[Node] = []
         if use_bipartite:
-            bip = enc.sage_encode(ad.constant(consts.aggregator[m]), community_embed,
-                                  sales, sage_layers)
+            bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
+                                  batch_sales, sage_layers)
             parts.append(ad.scale(bip, 1.0 - config.alpha) if scale_both else bip)
         if use_hyper:
             hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
                                         ad.constant(consts.hyper_right[m])),
-                                       sales, hyper_layers)
+                                       sales, hyper_layers, rows)
             parts.append(ad.scale(hyp, config.alpha) if scale_both else hyp)
-        parts.append(sales)
+        parts.append(batch_sales)
         x = parts[0]
         for part in parts[1:]:
             x = ad.add(x, part)
-        if not whole:
-            x = ad.slice_block(x, (a0, a1), (0, d))
         inputs.append(x)
 
     recent_states = tp.gru_rollout(inputs, _gru_weights(store, "gru"))
@@ -236,13 +245,10 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     coeff_nodes = []
     for lag, m in enumerate(sample.window_months):
         coeff = store[f"ar_lag_{lag:02d}"]
-        scaled = consts.scaled[m]
-        if not whole:
-            if not config.ar_shared:
-                coeff = ad.slice_block(coeff, (0, n_communities), (a0, a1))
-            scaled = scaled[:, a0:a1]
+        if not config.ar_shared:
+            coeff = ad.slice_block(coeff, (0, n_communities), rows)
         coeff_nodes.append(coeff)
-        history_nodes.append(ad.constant(scaled))
+        history_nodes.append(ad.constant(consts.scaled[m][:, a0:a1]))
     forecast = tp.autoregressive(history_nodes, coeff_nodes, store["ar_bias"])
 
     affinity = ad.matmul(community_embed, ad.transpose(evolved))
@@ -251,7 +257,14 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
 
 def predict(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
             store: ParameterStore, config: ModelConfig) -> PredictionMatrix:
-    scores = forward(series, consts, sample, store, config)
+    """Full-catalog scores of one sample.  The forward runs over constant nodes
+    that share the store's values, so it keeps no autodiff graph."""
+    values = {}
+    for name, node in store.items():
+        if not np.all(np.isfinite(node.value)):
+            raise NonFiniteError(f"parameter '{name}' contains non-finite entries")
+        values[name] = Node(node.value, op="const", name=name)
+    scores = forward(series, consts, sample, values, config)
     return PredictionMatrix(scores=scores.value.copy(), target_month=sample.target_month)
 
 

@@ -64,13 +64,13 @@ def sales_patch_matrix(scaled: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def embed_sales_batch(patches: Node, positions: int, kernel: Node, bias: Node) -> Node:
-    """All-attribute sales embedding from precomputed convolution windows.
+    """Sales embedding of every attribute whose windows ``patches`` stacks.
 
     Per attribute: width-3 valid convolution with d filters, ReLU, then the
-    mean over positions, giving one d-vector per attribute.
+    mean over positions, giving one d-vector per attribute.  The model embeds
+    the whole catalog, because the hypergraph encoder reads every attribute.
     """
-    conv = ad.relu(ad.add(ad.matmul(patches, kernel), bias))
-    return ad.block_row_mean(conv, positions)
+    return ad.affine_relu_block_mean(patches, kernel, bias, positions)
 
 
 def gru_cell(x: Node, h_prev: Node, w: GruWeights) -> Node:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trendgraph import autodiff as ad
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
 
@@ -31,6 +32,19 @@ def random_monthly(seed, n_communities=3, n_attributes=5, months=15, density=0.7
     catalogs = Catalogs(tuple(f"c{c}" for c in range(n_communities)),
                         tuple(f"a{a}" for a in range(n_attributes)))
     return monthly_from_tuples(tuples, catalogs), catalogs
+
+
+def block_row_mean(a, block):
+    """Mean over consecutive row blocks as an autodiff op of its own: (n*block)
+    rows become n.  The oracle of the block mean that
+    ``autodiff.affine_relu_block_mean`` fuses with the affine map and ReLU."""
+    value = a.value.reshape(a.rows // block, block, a.cols).mean(axis=1)
+
+    def backward(g):
+        if a.needs_grad:
+            a.accumulate_owned(np.repeat(g / block, block, axis=0))
+
+    return ad.Node(value, op="block_row_mean", parents=(a,), backward=backward)
 
 
 def small_series(seed=0, n_communities=3, n_attributes=5, months=15, **kwargs):

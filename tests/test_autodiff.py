@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from trendgraph import autodiff as ad
+from trendgraph import temporal as tp
 from trendgraph.errors import NonFiniteError, ShapeMismatchError
+
+from conftest import block_row_mean
 
 
 class TestForwardExamples:
@@ -32,9 +35,20 @@ class TestForwardExamples:
         out = ad.slice_block(a, (1, 3), (0, 2))
         np.testing.assert_array_equal(out.value, [[4.0, 5.0], [8.0, 9.0]])
 
+    def test_slice_covering_the_matrix_is_the_matrix(self):
+        a = ad.constant(np.arange(12.0).reshape(3, 4))
+        assert ad.slice_block(a, (0, 3), (0, 4)) is a
+
     def test_block_row_mean(self):
+        # the test-side oracle of the fused sales-convolution op
         a = ad.constant(np.array([[1.0], [3.0], [10.0], [20.0]]))
-        np.testing.assert_array_equal(ad.block_row_mean(a, 2).value, [[2.0], [15.0]])
+        np.testing.assert_array_equal(block_row_mean(a, 2).value, [[2.0], [15.0]])
+        store = ad.ParameterStore()
+        x = store.register("x", np.random.default_rng(6).normal(size=(6, 2)))
+        readout = ad.constant([[1.0, -2.0], [0.5, 3.0]])
+        report = ad.finite_difference_check(
+            lambda: ad.sum_all(ad.hadamard(block_row_mean(x, 3), readout)), store)
+        assert report.passed, report.summary()
 
 
 class TestBackwardExamples:
@@ -134,8 +148,10 @@ class TestFiniteDifferenceAllPrimitives:
             n = ad.slice_block(n, (0, 3), (2, 5))   # 3x3
             n = ad.tanh(n)
             c = ad.matmul(patches, ker)             # 4x3, width-2 convolution
-            c = ad.block_row_mean(c, 2)             # 2x3
-            return ad.add(ad.sum_all(m), ad.add(ad.sum_all(n), ad.sum_all(c)))
+            c = block_row_mean(c, 2)                # 2x3
+            f = ad.affine_relu_block_mean(patches, ker, bias, 2)   # 2x3
+            return ad.add(ad.add(ad.sum_all(m), ad.sum_all(f)),
+                          ad.add(ad.sum_all(n), ad.sum_all(c)))
 
         report = ad.finite_difference_check(build, store)
         assert report.passed, report.summary()
@@ -182,6 +198,61 @@ class TestFiniteDifferenceAllPrimitives:
         store.register("x", [[1.0]])
         with pytest.raises(ValueError, match="epsilon"):
             ad.finite_difference_check(lambda: None, store, epsilon=1e-2)
+
+
+class TestAffineReluBlockMean:
+    """The fused sales-convolution op against the chain it replaces."""
+
+    @staticmethod
+    def run(fused, patches, positions, kernel_data, bias_data, readout):
+        store = ad.ParameterStore()
+        kernel = store.register("kernel", kernel_data)
+        bias = store.register("bias", bias_data)
+        x = ad.constant(patches)
+        if fused:
+            out = ad.affine_relu_block_mean(x, kernel, bias, positions)
+        else:
+            out = block_row_mean(ad.relu(ad.add(ad.matmul(x, kernel), bias)), positions)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(readout))))
+        return out.value, kernel.grad, bias.grad
+
+    @pytest.mark.parametrize("n_communities,positions", [(2, 1), (7, 5), (40, 38)])
+    def test_bit_identical_to_the_composed_chain(self, n_communities, positions):
+        rng = np.random.default_rng(n_communities)
+        raw = rng.integers(0, 30, size=(n_communities, 9)) * (rng.random((n_communities, 9)) < 0.6)
+        patches, p = tp.sales_patch_matrix(tp.scale_sales(raw.astype(float)))
+        assert p == positions
+        kernel, bias = rng.normal(size=(3, 8)), rng.normal(size=(1, 8))
+        readout = rng.normal(size=(9, 8))
+        fused = self.run(True, patches, positions, kernel, bias, readout)
+        chain = self.run(False, patches, positions, kernel, bias, readout)
+        assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+        for got, want in zip(fused, chain):
+            assert got.tobytes() == want.tobytes()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(12)
+        store = ad.ParameterStore()
+        x = store.register("x", rng.normal(size=(12, 3)))
+        w = store.register("w", rng.normal(size=(3, 4)))
+        b = store.register("b", rng.normal(size=(1, 4)))
+        readout = ad.constant(rng.normal(size=(3, 4)))
+        report = ad.finite_difference_check(
+            lambda: ad.sum_all(ad.hadamard(ad.affine_relu_block_mean(x, w, b, 4), readout)), store)
+        assert report.passed, report.summary()
+
+    def test_rows_not_divisible_by_block(self):
+        x = ad.constant(np.zeros((5, 3)))
+        with pytest.raises(ShapeMismatchError, match="5 not divisible by block 2"):
+            ad.affine_relu_block_mean(x, ad.constant(np.zeros((3, 2))),
+                                      ad.constant(np.zeros((1, 2))), 2)
+
+
+class TestGraphFree:
+    def test_op_on_constants_keeps_no_graph(self):
+        a = ad.constant(np.ones((2, 2)))
+        out = ad.matmul(a, ad.constant(np.eye(2)))
+        assert out.parents == () and out._backward is None and not out.needs_grad
 
 
 class TestInvariants:

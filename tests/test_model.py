@@ -6,7 +6,7 @@ import pytest
 
 from trendgraph import autodiff as ad
 from trendgraph import model as md
-from trendgraph.errors import InsufficientHistoryError
+from trendgraph.errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
 from conftest import random_monthly, small_series
@@ -83,6 +83,13 @@ class TestForward:
         part = md.forward(tiny_series, consts, sample, store, SMALL, attr_range=(1, 4))
         np.testing.assert_allclose(part.value, full.value[:, 1:4], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [(1, 6), (-1, 2), (3, 3), (4, 2)])
+    def test_attr_range_outside_the_catalog_is_refused(self, tiny_series, bad):
+        store = md.initialize(SMALL, tiny_series.catalogs)
+        consts = md.build_constants(tiny_series, SMALL)
+        with pytest.raises(ShapeMismatchError, match=rf"\({bad[0]}, {bad[1]}\).* 5 attributes"):
+            md.forward(tiny_series, consts, tiny_series.samples[0], store, SMALL, attr_range=bad)
+
     def test_scores_follow_a_permutation_of_the_attribute_catalog(self):
         monthly, catalogs = random_monthly(seed=8)
         perm = np.random.default_rng(4).permutation(catalogs.n_attributes)
@@ -114,6 +121,69 @@ class TestForward:
         b = md.forward(tiny_series, timewise, sample, store, time_cfg)
         assert a.value.shape == b.value.shape
         assert not np.array_equal(a.value, b.value)
+
+
+class TestRowRestriction:
+    """A batch encodes only its own rows, yet scores and gradients equal the
+    full forward's columns, at the default and at a two-layer encoder depth."""
+
+    RANGES = [(0, 3), (2, 6), (6, 9)]
+
+    @pytest.fixture(params=[(1, 1), (2, 2)], ids=["one-layer", "two-layer"])
+    def case(self, request):
+        series = small_series(seed=4, n_communities=4, n_attributes=9)
+        sage, hyper = request.param
+        config = replace(SMALL, sage_layers=sage, hyper_layers=hyper)
+        store = md.initialize(config, series.catalogs)
+        return series, md.build_constants(series, config), store, config
+
+    def test_restricted_scores_equal_full_columns(self, case):
+        series, consts, store, config = case
+        sample = series.samples[0]
+        full = md.forward(series, consts, sample, store, config).value
+        for a0, a1 in self.RANGES:
+            part = md.forward(series, consts, sample, store, config, attr_range=(a0, a1))
+            np.testing.assert_allclose(part.value, full[:, a0:a1], rtol=0, atol=1e-12)
+
+    def test_restricted_gradients_equal_sliced_full_forward(self, case):
+        series, consts, store, config = case
+        sample = series.samples[0]
+        n_communities = series.catalogs.n_communities
+
+        def grads(scores, a0, a1):
+            store.zero_grads()
+            ad.backward(md.bce_loss(scores, sample.labels[:, a0:a1], sample.validity[:, a0:a1]))
+            return {name: node.grad.copy() for name, node in store.items()}
+
+        for a0, a1 in self.RANGES:
+            restricted = grads(md.forward(series, consts, sample, store, config,
+                                          attr_range=(a0, a1)), a0, a1)
+            full = md.forward(series, consts, sample, store, config)
+            sliced = grads(ad.slice_block(full, (0, n_communities), (a0, a1)), a0, a1)
+            for name in store.names():
+                np.testing.assert_allclose(restricted[name], sliced[name], rtol=0, atol=1e-12,
+                                           err_msg=name)
+            deepest = f"sage_update_{config.sage_layers - 1}"
+            assert np.abs(restricted[deepest]).max() > 0
+            assert np.abs(restricted["hyper_mix_0"]).max() > 0
+
+
+class TestPredict:
+    def test_scores_equal_the_training_forward_bytes(self, tiny_series):
+        store = md.initialize(SMALL, tiny_series.catalogs)
+        consts = md.build_constants(tiny_series, SMALL)
+        sample = tiny_series.samples[tiny_series.split.test[0]]
+        predicted = md.predict(tiny_series, consts, sample, store, SMALL)
+        scores = md.forward(tiny_series, consts, sample, store, SMALL)
+        assert predicted.scores.tobytes() == scores.value.tobytes()
+
+    def test_non_finite_parameter_is_named(self, tiny_series):
+        store = md.initialize(SMALL, tiny_series.catalogs)
+        store["combine_bias"].value[0, 0] = np.nan
+        consts = md.build_constants(tiny_series, SMALL)
+        sample = tiny_series.samples[tiny_series.split.test[0]]
+        with pytest.raises(NonFiniteError, match="parameter 'combine_bias' contains non-finite"):
+            md.predict(tiny_series, consts, sample, store, SMALL)
 
 
 class TestBceLoss:
