@@ -245,10 +245,14 @@ def concat_cols(a: Node, b: Node) -> Node:
     return Node(value, op="concat_cols", parents=(a, b), backward=backward)
 
 
-def sigmoid(a: Node) -> Node:
-    x = a.value
+def logistic(x: Matrix) -> Matrix:
+    """The logistic function 1 / (1 + exp(-x)), computed without overflow."""
     e = np.exp(-np.abs(x))
-    value = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Node) -> Node:
+    value = logistic(a.value)
 
     def backward(g: Matrix) -> None:
         if a.needs_grad:

@@ -65,7 +65,12 @@ _GENERATOR_FIELDS = _field_types(GeneratorConfig)
 def read_config_file(path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -233,7 +238,13 @@ def _checkpoint_config(args) -> None:
         args.config = str(sibling)
 
 
+def _check_top(args) -> None:
+    if args.top < 1:
+        raise UsageError(f"--top must be at least 1, got {args.top}")
+
+
 def cmd_evaluate(args) -> int:
+    _check_top(args)
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
     series, monthly = _load_series(args.data, model_config)
@@ -261,6 +272,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_top(args)
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
     series, _ = _load_series(args.data, model_config)

@@ -25,6 +25,9 @@ class PredictionMatrix:
             raise ValueError("non-finite or out-of-range prediction scores; they must lie in [0, 1]")
 
     def top_lists(self, n: int) -> list[list[int]]:
+        """The first ``n`` attributes of each community's ranking; ``n`` >= 1."""
+        if n < 1:
+            raise ValueError(f"top list length must be at least 1, got {n}")
         if self.ranked_lists is not None:
             return [lst[:n] for lst in self.ranked_lists]
         out = []

@@ -7,6 +7,16 @@ skip GRU whose state reaches back ``p`` steps to track periodic patterns.
 A linear autoregressive term over the scaled sales history supplies a
 per-pair forecast added inside the final score.
 
+Each recurrent cell is rolled out as one autodiff node with a hand-written
+backward (``_rollout``), not as a chain of about 19 elementwise nodes per
+month.  Its parents are the month inputs and the cell's nine weights, and it
+keeps only the gate values that backward needs.  Since the skip cell's
+state at month t reads only month t - p, its p interleaved chains are
+independent, so each block of p consecutive months advances as one stacked
+step: 4 sequential steps instead of 12 at p = 3.  When neither the inputs
+nor the weights need a gradient (prediction, validation), the rollout keeps
+no gate values and builds no graph.
+
 Sales counts are log(1+x) scaled before the convolution and the AR term;
 label computation elsewhere always uses raw counts.
 """
@@ -73,42 +83,148 @@ def embed_sales_batch(patches: Node, positions: int, kernel: Node, bias: Node) -
     return ad.affine_relu_block_mean(patches, kernel, bias, positions)
 
 
-def gru_cell(x: Node, h_prev: Node, w: GruWeights) -> Node:
-    """One gated recurrent step.
-
-    reset and update gates are sigmoids of affine maps of input and state;
-    the candidate applies the reset gate to the state contribution only,
-    and the output interpolates candidate and previous state by the update
-    gate.
-    """
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w.w_xr), ad.matmul(h_prev, w.w_hr)), w.b_r))
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w.w_xu), ad.matmul(h_prev, w.w_hu)), w.b_u))
-    n = ad.tanh(ad.add(ad.matmul(x, w.w_xc),
-                       ad.hadamard(r, ad.add(ad.matmul(h_prev, w.w_hc), w.b_c))))
-    return ad.add(n, ad.hadamard(z, ad.sub(h_prev, n)))
-
-
 def gru_rollout(inputs: list[Node], w: GruWeights) -> list[Node]:
     """Vanilla recurrence from a zero initial state; returns all hidden states."""
-    states: list[Node] = []
-    zero = ad.constant(np.zeros(inputs[0].value.shape))
-    h = zero
-    for x in inputs:
-        h = gru_cell(x, h, w)
-        states.append(h)
-    return states
+    return _rollout(inputs, w, 1)
 
 
 def skip_gru_rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     """Recurrence whose state reaches ``skip`` steps back; early steps use zeros."""
     if skip < 1:
         raise ValueError(f"skip must be >= 1, got {skip}")
-    states: list[Node] = []
-    zero = ad.constant(np.zeros(inputs[0].value.shape))
-    for t, x in enumerate(inputs):
-        h_prev = states[t - skip] if t >= skip else zero
-        states.append(gru_cell(x, h_prev, w))
-    return states
+    return _rollout(inputs, w, skip)
+
+
+def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
+    """States h_t = cell(x_t, h_{t-skip}) of one gated recurrent cell, h_t = 0
+    for t < 0, as a single autodiff node with a hand-written backward.
+
+    Per step, reset and update gates are sigmoids of affine maps of input
+    and state; the candidate applies the reset gate to the state
+    contribution only, and the output interpolates candidate and previous
+    state by the update gate:
+
+        r = sigmoid((x W_xr + h W_hr) + b_r)
+        z = sigmoid((x W_xu + h W_hu) + b_u)
+        n = tanh(x W_xc + r * (h W_hc + b_c))
+        h' = n + z * (h - n)
+
+    in exactly this order of operations.  Step t reads only step t - skip,
+    so each block of ``skip`` consecutive steps is stacked and advanced as
+    one (k * rows) x d step.  The states live in one (steps * rows) x d
+    buffer; the returned per-step nodes are views of its row blocks.  When
+    nothing needs a gradient, neither gate values nor a graph are kept.
+    """
+    if not inputs:
+        raise ValueError("a recurrent rollout needs at least one step")
+    rows, width = inputs[0].value.shape
+    hidden = w.w_hr.cols
+    expected = [((width, hidden), w.w_xr, w.w_xu, w.w_xc),
+                ((hidden, hidden), w.w_hr, w.w_hu, w.w_hc),
+                ((1, hidden), w.b_r, w.b_u, w.b_c)]
+    bad = [x.value.shape for x in inputs if x.value.shape != (rows, width)]
+    bad += [p.value.shape for shape, *group in expected for p in group if p.value.shape != shape]
+    if bad:
+        raise ShapeMismatchError(
+            f"gru rollout: inputs of shape {(rows, width)} with state width {hidden} "
+            f"do not conform to shapes {bad}")
+    steps = len(inputs)
+    states = np.empty((steps * rows, hidden))
+    weights = (w.w_xr, w.w_hr, w.b_r, w.w_xu, w.w_hu, w.b_u, w.w_xc, w.w_hc, w.b_c)
+    train = any(p.needs_grad for p in (*inputs, *weights))
+
+    def block(t0: int, k: int) -> slice:
+        """Rows of the k steps from t0 in the stacked buffers."""
+        return slice(t0 * rows, (t0 + k) * rows)
+
+    cache = []
+    for t0 in range(0, steps, skip):
+        k = min(skip, steps - t0)
+        x = inputs[t0].value if k == 1 else np.vstack([x.value for x in inputs[t0:t0 + k]])
+        h = states[block(t0 - skip, k)] if t0 else None
+        r = x @ w.w_xr.value
+        z = x @ w.w_xu.value
+        if h is None:  # the zero initial state: its products would add zeros
+            q = w.b_c.value
+        else:
+            r += h @ w.w_hr.value
+            z += h @ w.w_hu.value
+            q = h @ w.w_hc.value
+            q += w.b_c.value
+        r += w.b_r.value
+        z += w.b_u.value
+        r = ad.logistic(r)
+        z = ad.logistic(z)
+        n = x @ w.w_xc.value
+        n += r * q
+        np.tanh(n, out=n)
+        out = states[block(t0, k)]
+        if h is None:
+            np.negative(n, out=out)
+        else:
+            np.subtract(h, n, out=out)
+        out *= z
+        out += n
+        if train:
+            cache.append((t0, k, x, h, r, z, n, q))
+    if not train:
+        return [Node(states[block(t, 1)], op="gru_state") for t in range(steps)]
+
+    def backward(g: np.ndarray) -> None:
+        # g is this node's own gradient buffer; each block adds the gradient
+        # of the states it read into it in place, so blocks run in reverse
+        grads = {id(p): np.zeros_like(p.value) for p in weights if p.needs_grad}
+
+        def add_grad(p: Node, value: np.ndarray) -> None:
+            if p.needs_grad:
+                grads[id(p)] += value
+
+        for t0, k, x, h, r, z, n, q in reversed(cache):
+            dh = g[block(t0, k)]
+            d_n = dh * (1.0 - z)
+            d_n *= 1.0 - n * n
+            d_r = d_n * q
+            d_r *= r * (1.0 - r)
+            d_z = -n if h is None else h - n
+            d_z *= dh
+            d_z *= z * (1.0 - z)
+            d_q = d_n * r
+            add_grad(w.b_r, d_r.sum(axis=0))
+            add_grad(w.b_u, d_z.sum(axis=0))
+            add_grad(w.b_c, d_q.sum(axis=0))
+            add_grad(w.w_xr, x.T @ d_r)
+            add_grad(w.w_xu, x.T @ d_z)
+            add_grad(w.w_xc, x.T @ d_n)
+            stacked = inputs[t0:t0 + k]
+            if any(node.needs_grad for node in stacked):
+                d_x = d_r @ w.w_xr.value.T
+                d_x += d_z @ w.w_xu.value.T
+                d_x += d_n @ w.w_xc.value.T
+                for j, node in enumerate(stacked):
+                    if node.needs_grad:
+                        node.accumulate_owned(d_x[block(j, 1)])
+            if h is not None:
+                add_grad(w.w_hr, h.T @ d_r)
+                add_grad(w.w_hu, h.T @ d_z)
+                add_grad(w.w_hc, h.T @ d_q)
+                d_h = d_r @ w.w_hr.value.T
+                d_h += d_z @ w.w_hu.value.T
+                d_h += d_q @ w.w_hc.value.T
+                d_h += dh * z
+                g[block(t0 - skip, k)] += d_h
+        # keyed by identity: a node passed for two weights gets both gradients
+        for p in {id(p): p for p in weights if p.needs_grad}.values():
+            p.accumulate_owned(grads[id(p)])
+
+    core = Node(states, op="gru_rollout", parents=(*inputs, *weights), backward=backward)
+
+    def state(t: int) -> Node:
+        def backward(g: np.ndarray) -> None:
+            core.grad[block(t, 1)] += g
+
+        return Node(states[block(t, 1)], op="gru_state", parents=(core,), backward=backward)
+
+    return [state(t) for t in range(steps)]
 
 
 def combine_recurrent(recent: Node, skip_history: list[Node | None],

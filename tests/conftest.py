@@ -47,6 +47,26 @@ def block_row_mean(a, block):
     return ad.Node(value, op="block_row_mean", parents=(a,), backward=backward)
 
 
+def gru_cell(x, h_prev, w):
+    """One gated recurrent step composed of elementwise autodiff ops, about 19
+    nodes.  The oracle of ``temporal._rollout``, which runs the same
+    arithmetic in the same order as one node per rollout."""
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w.w_xr), ad.matmul(h_prev, w.w_hr)), w.b_r))
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, w.w_xu), ad.matmul(h_prev, w.w_hu)), w.b_u))
+    n = ad.tanh(ad.add(ad.matmul(x, w.w_xc),
+                       ad.hadamard(r, ad.add(ad.matmul(h_prev, w.w_hc), w.b_c))))
+    return ad.add(n, ad.hadamard(z, ad.sub(h_prev, n)))
+
+
+def gru_rollout_oracle(inputs, w, skip=1):
+    """States h_t = gru_cell(x_t, h_{t-skip}) from zero states, cell by cell."""
+    zero = ad.constant(np.zeros((inputs[0].rows, w.w_hr.cols)))
+    states = []
+    for t, x in enumerate(inputs):
+        states.append(gru_cell(x, states[t - skip] if t >= skip else zero, w))
+    return states
+
+
 def small_series(seed=0, n_communities=3, n_attributes=5, months=15, **kwargs):
     monthly, catalogs = random_monthly(seed, n_communities, n_attributes, months, **kwargs)
     return SnapshotSeries.build(monthly, catalogs)

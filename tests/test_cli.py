@@ -155,6 +155,24 @@ class TestTrain:
         assert code == 1
 
 
+class TestConfigFile:
+    def test_non_utf8_config_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"communities=3\n# caf\xe9\n")
+        code = cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"config file {path} is not UTF-8" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_directory_as_config_is_usage_error_naming_it(self, tmp_path, capsys):
+        folder = tmp_path / "folder.cfg"
+        folder.mkdir()
+        code = cli.main(["generate", "--config", str(folder), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_writes_model_and_mom_reports(self, tmp_path, data_dir, run_dir):
         out = tmp_path / "eval"
@@ -167,6 +185,14 @@ class TestEvaluate:
             assert (out / name).exists(), name
         row = json.loads((out / "report_model.ndjson").read_text().splitlines()[0])
         assert set(row) == {"community", "auc", "positives", "negatives", "topn"}
+
+    def test_top_below_one_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):
+        out = tmp_path / "eval"
+        code = cli.main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                         str(run_dir / "model.ckpt"), "--out", str(out), "--top", "0"])
+        assert code == 1
+        assert "--top must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_checkpoint_names_the_artifact(self, tmp_path, data_dir, capsys):
         code = cli.main(["evaluate", "--data", str(data_dir),
@@ -243,6 +269,15 @@ class TestPredict:
         assert len(community_lines) == 3
         for line in community_lines:
             assert len(line.split(":")[1].split()) == 4
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_usage_error(self, data_dir, run_dir, capsys, top):
+        code = cli.main(["predict", "--data", str(data_dir),
+                         "--checkpoint", str(run_dir / "model.ckpt"), "--top", top])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"--top must be at least 1, got {top}" in captured.err
+        assert "predicted" not in captured.out
 
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):
         damaged = tmp_path / "damaged"

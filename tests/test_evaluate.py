@@ -189,3 +189,12 @@ class TestPredictionMatrix:
     def test_top_lists_break_ties_by_index(self):
         pred = PredictionMatrix(scores=np.array([[0.5, 0.9, 0.5, 0.1]]), target_month=1)
         assert pred.top_lists(3) == [[1, 0, 2]]
+
+    def test_top_lists_refuse_lengths_below_one(self):
+        pred = PredictionMatrix(scores=np.array([[0.1, 0.9, 0.5]]), target_month=1)
+        ranked = PredictionMatrix(scores=np.array([[0.1, 0.9, 0.5]]), target_month=1,
+                                  ranked_lists=[[1, 2, 0]])
+        for matrix in (pred, ranked):
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="at least 1"):
+                    matrix.top_lists(n)

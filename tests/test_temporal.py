@@ -9,6 +9,8 @@ from trendgraph import model as md
 from trendgraph import temporal as tp
 from trendgraph.errors import ShapeMismatchError
 
+from conftest import gru_cell, gru_rollout_oracle
+
 
 def make_gru_weights(rng, d, scale=1.0):
     def mat(shape):
@@ -138,14 +140,20 @@ class TestFuse:
 
 
 class TestGru:
+    """Cell properties, checked on the oracle ``gru_cell`` and, where a zero
+    initial state allows, on the rollouts; ``TestFusedRollout`` ties the
+    rollouts to the oracle."""
+
     def test_all_zero_weights_and_state_give_zero(self):
         d = 3
         zeros = lambda shape: ad.constant(np.zeros(shape))
         w = tp.GruWeights(*(zeros((d, d)) if i % 3 != 2 else zeros((1, d)) for i in range(9)))
         x = ad.constant(np.ones((2, d)))
         h = ad.constant(np.zeros((2, d)))
-        out = tp.gru_cell(x, h, w)
+        out = gru_cell(x, h, w)
         np.testing.assert_array_equal(out.value, np.zeros((2, d)))
+        for state in tp.gru_rollout([x, x], w):
+            np.testing.assert_array_equal(state.value, np.zeros((2, d)))
 
     def test_saturated_update_gate_copies_state(self):
         d = 2
@@ -153,7 +161,7 @@ class TestGru:
         w = make_gru_weights(rng, d)
         w.b_u = ad.constant(np.full((1, d), 60.0))  # update gate pinned at 1
         h = ad.constant(rng.normal(size=(3, d)))
-        out = tp.gru_cell(ad.constant(rng.normal(size=(3, d))), h, w)
+        out = gru_cell(ad.constant(rng.normal(size=(3, d))), h, w)
         np.testing.assert_allclose(out.value, h.value, atol=1e-12)
 
     def test_matches_scalar_reference_loop(self):
@@ -187,7 +195,7 @@ class TestGru:
         states = tp.skip_gru_rollout(xs, w, skip=3)
         zero = ad.constant(np.zeros((1, d)))
         for t in range(3):
-            expected = tp.gru_cell(xs[t], zero, w)
+            expected = gru_cell(xs[t], zero, w)
             np.testing.assert_array_equal(states[t].value, expected.value)
 
     def test_outputs_bounded_by_one_when_state_is(self):
@@ -197,8 +205,100 @@ class TestGru:
             w = make_gru_weights(rng, d, scale=rng.uniform(0.1, 3.0))
             h = ad.constant(rng.uniform(-1, 1, size=(3, d)))
             x = ad.constant(rng.normal(size=(3, d)) * 5)
-            out = tp.gru_cell(x, h, w)
+            out = gru_cell(x, h, w)
             assert np.all(np.abs(out.value) < 1.0)
+            # from zero states; tanh of a large input rounds to exactly 1
+            for state in tp.skip_gru_rollout([x, x, x], w, skip=2):
+                assert np.all(np.abs(state.value) <= 1.0)
+
+
+GRU_NAMES = ("w_xr", "w_hr", "b_r", "w_xu", "w_hu", "b_u", "w_xc", "w_hc", "b_c")
+
+
+class TestFusedRollout:
+    """``gru_rollout`` and ``skip_gru_rollout`` against the composed-chain
+    oracle: the same states bit for bit, the same gradients to rounding."""
+
+    def gradients(self, rollout, steps, skip, rows=3, d=4, seed=40):
+        """States, then the gradients of every weight and input, of a loss
+        that reads every state with its own random readout."""
+        rng = np.random.default_rng(seed)
+        store = ad.ParameterStore()
+        w = make_gru_params(store, rng, d, "cell")
+        xs = [store.register(f"x_{t}", rng.normal(size=(rows, d))) for t in range(steps)]
+        readouts = [ad.constant(rng.normal(size=(rows, d))) for _ in range(steps)]
+        states = rollout(xs, w, skip)
+        loss = ad.sum_all(ad.hadamard(states[0], readouts[0]))
+        for state, readout in zip(states[1:], readouts[1:]):
+            loss = ad.add(loss, ad.sum_all(ad.hadamard(state, readout)))
+        ad.backward(loss)
+        return [s.value for s in states], {name: node.grad for name, node in store.items()}
+
+    @pytest.mark.parametrize("rollout,steps,skip", [
+        (lambda xs, w, skip: tp.gru_rollout(xs, w), 12, 1),
+        (tp.skip_gru_rollout, 12, 1), (tp.skip_gru_rollout, 12, 2),
+        (tp.skip_gru_rollout, 12, 3), (tp.skip_gru_rollout, 12, 12),
+        (tp.skip_gru_rollout, 5, 9),
+        (tp.skip_gru_rollout, 7, 3),  # the last block holds one step
+    ])
+    def test_states_and_gradients_match_the_oracle(self, rollout, steps, skip):
+        got_states, got = self.gradients(rollout, steps, skip)
+        want_states, want = self.gradients(gru_rollout_oracle, steps, skip)
+        for a, b in zip(got_states, want_states):
+            assert a.tobytes() == b.tobytes()
+        assert set(got) == {f"cell_{n}" for n in GRU_NAMES} | {f"x_{t}" for t in range(steps)}
+        for name, g in want.items():
+            scale = max(np.abs(g).max(), np.finfo(float).tiny)
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+    def test_skip_rollout_passes_finite_differences(self):
+        rng = np.random.default_rng(41)
+        d, rows, steps = 3, 2, 7
+        store = ad.ParameterStore()
+        w = make_gru_params(store, rng, d, "cell")
+        xs = [store.register(f"x_{t}", rng.normal(size=(rows, d))) for t in range(steps)]
+        readout = ad.constant(rng.normal(size=(rows, d)))
+
+        def build():
+            states = tp.skip_gru_rollout(xs, w, 3)
+            return ad.add(ad.sum_all(ad.hadamard(states[-1], readout)),
+                          ad.sum_all(ad.hadamard(states[-2], states[-3])))
+
+        report = ad.finite_difference_check(build, store, tolerance=1e-6)
+        assert report.passed, report.summary()
+
+    def test_a_rollout_over_constants_keeps_no_graph(self):
+        rng = np.random.default_rng(42)
+        w = make_gru_weights(rng, 3)
+        xs = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
+        for states in (tp.gru_rollout(xs, w), tp.skip_gru_rollout(xs, w, 3)):
+            assert all(s.parents == () and not s.needs_grad for s in states)
+
+    def test_a_trained_rollout_is_one_node_under_its_states(self):
+        rng = np.random.default_rng(43)
+        store = ad.ParameterStore()
+        w = make_gru_params(store, rng, 3, "cell")
+        xs = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
+        states = tp.skip_gru_rollout(xs, w, 2)
+        cores = {id(s.parents[0]) for s in states}
+        assert len(cores) == 1 and all(len(s.parents) == 1 for s in states)
+        assert states[0].parents[0].parents == (*xs, *(getattr(w, n) for n in GRU_NAMES))
+
+    def test_shape_mismatch_names_the_shapes(self):
+        rng = np.random.default_rng(44)
+        w = make_gru_weights(rng, 3)
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 4\)"):
+            tp.gru_rollout([ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 4)))], w)
+        w.b_c = ad.constant(np.zeros((3, 1)))
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 1\)"):
+            tp.gru_rollout([ad.constant(np.zeros((2, 3)))], w)
+
+    def test_skip_below_one_and_no_steps_are_refused(self):
+        w = make_gru_weights(np.random.default_rng(45), 2)
+        with pytest.raises(ValueError, match="skip"):
+            tp.skip_gru_rollout([ad.constant(np.zeros((1, 2)))], w, 0)
+        with pytest.raises(ValueError, match="at least one step"):
+            tp.gru_rollout([], w)
 
 
 class TestCombine:
