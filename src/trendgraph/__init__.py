@@ -12,7 +12,7 @@ from .errors import (
     UsageError,
 )
 from .evaluate import EvalReport, auc, evaluate_predictions, mom_baseline
-from .model import ModelConfig, TrainResult, grid_search, initialize, train
+from .model import ModelConfig, TrainResult, initialize, train
 from .predictions import PredictionMatrix
 from .snapshots import (
     Catalogs,
@@ -53,7 +53,6 @@ __all__ = [
     "evaluate_predictions",
     "filter_min_sales",
     "generate",
-    "grid_search",
     "ingest",
     "initialize",
     "mom_baseline",

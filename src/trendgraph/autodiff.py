@@ -1,9 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Everything trainable in this package flows through here: compute nodes with
-backward closures, reverse-topological gradient accumulation, a
-central-difference gradient checker, Adam, and the parameter store with its
-text checkpoint format.
+backward closures, reverse-topological gradient accumulation, Adam, and the
+parameter store with its text checkpoint format.
 
 All values are 2-D C-contiguous float64 arrays.  Forward evaluation is
 eager and deterministic: identical inputs produce bit-identical outputs.
@@ -12,10 +11,8 @@ Gradients accumulate additively; callers zero them between optimizer steps.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -179,22 +176,6 @@ def add(a: Node, b: Node) -> Node:
     return Node(value, op="add", parents=(a, b), backward=backward)
 
 
-def sub(a: Node, b: Node) -> Node:
-    ka, kb = _broadcast_binary(a, b, "sub")
-    value = a.value - b.value
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            if ka == "full":
-                a.accumulate_grad(g)
-            else:
-                a.accumulate_owned(_reduce_to(g, ka))
-        if b.needs_grad:
-            b.accumulate_owned(-_reduce_to(g, kb))
-
-    return Node(value, op="sub", parents=(a, b), backward=backward)
-
-
 def hadamard(a: Node, b: Node) -> Node:
     """Elementwise product; a 1x1 or 1xm operand broadcasts over rows."""
     ka, kb = _broadcast_binary(a, b, "hadamard")
@@ -259,16 +240,6 @@ def sigmoid(a: Node) -> Node:
             a.accumulate_owned(g * value * (1.0 - value))
 
     return Node(value, op="sigmoid", parents=(a,), backward=backward)
-
-
-def tanh(a: Node) -> Node:
-    value = np.tanh(a.value)
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_owned(g * (1.0 - value * value))
-
-    return Node(value, op="tanh", parents=(a,), backward=backward)
 
 
 def relu(a: Node) -> Node:
@@ -532,73 +503,3 @@ def adam_step(store: ParameterStore, learning_rate: float,
         v *= b2
         v += (1.0 - b2) * (g * g)
         node.value -= learning_rate * (m / bias1) / (np.sqrt(v / bias2) + eps)
-
-
-@dataclass
-class FiniteDifferenceReport:
-    """Per-parameter worst-case error of analytic gradients vs central differences.
-
-    The error metric is |analytic - numeric| / max(|analytic|, |numeric|, 1),
-    so parameters with (near-) zero gradients are judged by absolute error.
-    """
-
-    epsilon: float
-    tolerance: float
-    max_errors: "OrderedDict[str, float]"
-
-    @property
-    def failures(self) -> list[str]:
-        return [name for name, err in self.max_errors.items()
-                if not (math.isfinite(err) and err <= self.tolerance)]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_errors.values(), default=0.0)
-
-    def summary(self) -> str:
-        lines = []
-        for name, err in self.max_errors.items():
-            ok = math.isfinite(err) and err <= self.tolerance
-            lines.append(f"{'PASS' if ok else 'FAIL'} {name}: max_err={err:.3e}")
-        return "\n".join(lines)
-
-
-def finite_difference_check(loss_builder: Callable[[], Node], store: ParameterStore,
-                            epsilon: float = 1e-5, tolerance: float = 1e-4,
-                            parameter_names: Iterable[str] | None = None) -> FiniteDifferenceReport:
-    """Compare backward() gradients against central differences of the loss.
-
-    ``loss_builder`` must rebuild the forward graph from the store's current
-    parameter values and be deterministic for fixed parameters.  Non-finite
-    differences are reported as failures, never raised.
-    """
-    if not (1e-7 <= epsilon <= 1e-3):
-        raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
-    names = list(parameter_names) if parameter_names is not None else store.names()
-    store.zero_grads()
-    loss = loss_builder()
-    backward(loss)
-    analytic = {name: store[name].grad.copy() for name in names}
-
-    max_errors: "OrderedDict[str, float]" = OrderedDict()
-    for name in names:
-        theta = store[name].value
-        a = analytic[name]
-        numeric = np.empty_like(theta)
-        for idx in np.ndindex(theta.shape):
-            orig = theta[idx]
-            theta[idx] = orig + epsilon
-            f_plus = float(loss_builder().value[0, 0])
-            theta[idx] = orig - epsilon
-            f_minus = float(loss_builder().value[0, 0])
-            theta[idx] = orig
-            numeric[idx] = (f_plus - f_minus) / (2.0 * epsilon)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1.0)
-        err = np.abs(a - numeric) / denom
-        err = np.where(np.isfinite(numeric), err, np.inf)
-        max_errors[name] = float(err.max()) if err.size else 0.0
-    return FiniteDifferenceReport(epsilon=epsilon, tolerance=tolerance, max_errors=max_errors)

@@ -95,7 +95,10 @@ def _resolve(cls, fields: dict[str, str], raw: dict[str, str], overrides: dict[s
             elif key not in known_elsewhere:
                 raise UsageError(f"unknown config key {key!r}")
     config = cls(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise UsageError(f"bad config: {exc}") from None
     return config
 
 

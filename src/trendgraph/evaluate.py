@@ -149,31 +149,22 @@ def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[Tren
 
 
 def mom_baseline(monthly: MonthlySales, catalogs: Catalogs,
-                 target_month: int, k_percent: float = 50.0,
-                 score_mode: str = "sales") -> PredictionMatrix:
+                 target_month: int, k_percent: float = 50.0) -> PredictionMatrix:
     """Month-on-month baseline: last month's top list is next month's forecast.
 
     Scores are the previous month's sales min-max scaled to [0, 1] per
-    community so AUC is computable; ``score_mode="membership"`` scores 1
-    for list members and 0 otherwise instead.  The attached ranked lists
-    are the previous month's top-K% lists.
+    community so AUC is computable.  The attached ranked lists are the
+    previous month's top-K% lists.
     """
     prev = target_month - 1
     sales = monthly.month(prev)
     if sales is None:
         raise DataError(f"month {prev} needed by the month-on-month baseline is missing")
     lists = rank_lists_for_sales(sales, k_percent)
-    if score_mode == "sales":
-        scores = np.zeros_like(sales)
-        for k in range(sales.shape[0]):
-            row = sales[k]
-            spread = row.max() - row.min()
-            if spread > 0:
-                scores[k] = (row - row.min()) / spread
-    elif score_mode == "membership":
-        scores = np.zeros_like(sales)
-        for k, lst in enumerate(lists):
-            scores[k, lst] = 1.0
-    else:
-        raise ValueError(f"unknown score_mode {score_mode!r}")
+    scores = np.zeros_like(sales)
+    for k in range(sales.shape[0]):
+        row = sales[k]
+        spread = row.max() - row.min()
+        if spread > 0:
+            scores[k] = (row - row.min()) / spread
     return PredictionMatrix(scores=scores, target_month=target_month, ranked_lists=lists)

@@ -1,16 +1,16 @@
-"""Full model assembly, training loop, and hyperparameter grid search.
+"""Full model assembly and training loop.
 
 The forward pass, per window month: embed that month's sales for the whole
 catalog, encode the scored attributes through the bipartite (sales-weighted
 neighbor mean) and hypergraph patterns with that sales embedding as the
 attribute input, fuse the two encodings with the mixing coefficient plus the
-sales embedding, and roll both recurrent cells.  Apart from the per-pair
-autoregressive coefficients (when ``ar_shared`` is off), no parameter belongs
-to a single attribute, so the model learns from sales and graph structure
-rather than from attribute identity.  The final score for a
-(community, attribute) pair is the sigmoid of the community embedding's dot
-product with the evolved attribute state plus the autoregressive sales
-forecast.
+sales embedding, and roll both recurrent cells.  No parameter belongs to a
+single attribute, and no parameter's shape depends on the attribute catalog,
+so the model learns from sales and graph structure rather than from
+attribute identity.  The final score for a (community, attribute) pair is
+the sigmoid of the community embedding's dot product with the evolved
+attribute state plus the autoregressive sales forecast, whose lag weights
+every pair shares (the LSTNet highway term).
 
 Three ablations drop one component each: ``bipartite-only`` and
 ``hypergraph-only`` skip the other encoder entirely, ``gru-only`` drops the
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,21 +37,18 @@ from .predictions import PredictionMatrix
 from .snapshots import Catalogs, SnapshotSeries, TrendSample
 
 ABLATIONS = ("full", "bipartite-only", "hypergraph-only", "gru-only")
-SALES_CONV_AXES = ("community", "time")
 
-LR_GRID = (0.001, 0.003, 0.005, 0.008, 0.01)
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters for one training run; grids feed the search commands."""
+    """Hyperparameters for one training run; ``alpha_grid`` feeds ``sweep-alpha``."""
 
     d: int = 64
     alpha: float = 0.5
     p: int = 3
     learning_rate: float = 0.005
-    lr_grid: tuple[float, ...] = LR_GRID
     alpha_grid: tuple[float, ...] = ALPHA_GRID
     batch_size: int = 64
     max_epochs: int = 100
@@ -63,27 +59,26 @@ class ModelConfig:
     seed: int = 0
     sage_layers: int = 1
     hyper_layers: int = 1
-    sales_conv_axis: str = "community"
-    ar_shared: bool = False
     bce_eps: float = 1e-7
 
     def validate(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not self.alpha_grid or not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
+            raise ValueError(f"alpha_grid must be a non-empty list of values in [0, 1], "
+                             f"got {self.alpha_grid}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.sales_conv_axis not in SALES_CONV_AXES:
-            raise ValueError(f"sales_conv_axis must be one of {SALES_CONV_AXES}")
-        if self.d < 1 or self.p < 1 or self.window_length < 1:
-            raise ValueError("d, p and window_length must be positive")
-        if self.batch_size < 1 or self.max_epochs < 0 or self.patience < 1:
-            raise ValueError("batch_size and patience must be positive, max_epochs >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("d", "p", "window_length", "batch_size", "patience",
+                     "sage_layers", "hyper_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 < self.k_percent <= 100.0):
             raise ValueError(f"k_percent must be in (0, 100], got {self.k_percent}")
-        if self.sage_layers < 1 or self.hyper_layers < 1:
-            raise ValueError("both encoders need at least one layer")
 
 
 def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
@@ -123,9 +118,8 @@ def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
     for i in range(1, config.p):
         store.register(f"combine_skip_{i}", uniform((d, d)))
     store.register("combine_bias", np.zeros((1, d)))
-    ar_shape = (1, 1) if config.ar_shared else (catalogs.n_communities, catalogs.n_attributes)
     for lag in range(config.window_length):
-        store.register(f"ar_lag_{lag:02d}", np.zeros(ar_shape))
+        store.register(f"ar_lag_{lag:02d}", np.zeros((1, 1)))
     store.register("ar_bias", np.zeros((1, 1)))
     return store
 
@@ -160,18 +154,8 @@ def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstan
         scaled[m] = tp.scale_sales(sales)
     patches: dict[int, np.ndarray] = {}
     positions = 1
-    if config.sales_conv_axis == "community":
-        for m in series.months:
-            patches[m], positions = tp.sales_patch_matrix(scaled[m])
-    else:
-        # trailing three months of per-attribute community totals, one window
-        n_attributes = series.catalogs.n_attributes
-        totals = {m: np.log1p(sales.sum(axis=0)) for m, sales in zip(series.months, series.sales)}
-        zero = np.zeros(n_attributes)
-        for m in series.months:
-            cols = [totals.get(m - 2, zero), totals.get(m - 1, zero), totals[m]]
-            patches[m] = np.ascontiguousarray(np.stack(cols, axis=1))
-        positions = 1
+    for m in series.months:
+        patches[m], positions = tp.sales_patch_matrix(scaled[m])
     return GraphConstants(aggregator=aggregator, hyper_left=hyper_left,
                           hyper_right=hyper_right, patches=patches,
                           positions=positions, scaled=scaled)
@@ -240,15 +224,8 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     else:
         evolved = ad.add(ad.matmul(recent, store["combine_recent"]), store["combine_bias"])
 
-    n_communities = catalogs.n_communities
-    history_nodes = []
-    coeff_nodes = []
-    for lag, m in enumerate(sample.window_months):
-        coeff = store[f"ar_lag_{lag:02d}"]
-        if not config.ar_shared:
-            coeff = ad.slice_block(coeff, (0, n_communities), rows)
-        coeff_nodes.append(coeff)
-        history_nodes.append(ad.constant(consts.scaled[m][:, a0:a1]))
+    history_nodes = [ad.constant(consts.scaled[m][:, a0:a1]) for m in sample.window_months]
+    coeff_nodes = [store[f"ar_lag_{lag:02d}"] for lag in range(len(sample.window_months))]
     forecast = tp.autoregressive(history_nodes, coeff_nodes, store["ar_bias"])
 
     affinity = ad.matmul(community_embed, ad.transpose(evolved))
@@ -365,47 +342,3 @@ def train(series: SnapshotSeries, config: ModelConfig,
         store.restore_values(best_values)
     return TrainResult(store=store, epochs=records, best_epoch=best_epoch,
                        best_validation_auc=best_val)
-
-
-@dataclass
-class GridCell:
-    learning_rate: float
-    alpha: float
-    validation_auc: float | None
-
-
-@dataclass
-class GridSearchResult:
-    best_config: ModelConfig
-    cells: list[GridCell]
-    best_result: TrainResult | None
-
-
-def grid_search(series: SnapshotSeries, config: ModelConfig) -> GridSearchResult:
-    """Exhaustive learning-rate x alpha sweep selected on validation AUC.
-
-    Each cell trains its own store with a derived seed (base seed plus cell
-    index).  Ties keep the earlier cell, so smaller learning rate wins
-    first and smaller alpha second.
-    """
-    if not config.lr_grid or not config.alpha_grid:
-        raise ValueError("grid_search needs non-empty lr_grid and alpha_grid")
-    consts = build_constants(series, config)
-    cells: list[GridCell] = []
-    best_val = -math.inf
-    best_config = None
-    best_result = None
-    for index, (lr, alpha) in enumerate(product(sorted(config.lr_grid),
-                                                sorted(config.alpha_grid))):
-        cell_config = replace(config, learning_rate=lr, alpha=alpha, seed=config.seed + index)
-        result = train(series, cell_config, consts=consts)
-        val = result.best_validation_auc
-        cells.append(GridCell(learning_rate=lr, alpha=alpha, validation_auc=val))
-        if val is not None and val > best_val:
-            best_val = val
-            best_config = cell_config
-            best_result = result
-    if best_config is None:
-        best_config = replace(config, learning_rate=sorted(config.lr_grid)[0],
-                              alpha=sorted(config.alpha_grid)[0])
-    return GridSearchResult(best_config=best_config, cells=cells, best_result=best_result)

@@ -61,14 +61,16 @@ class GeneratorConfig:
             raise ValueError(f"noise must be in [0, 1], got {self.noise}")
         if not (0.0 < self.participation <= 1.0):
             raise ValueError(f"participation must be in (0, 1], got {self.participation}")
-        if self.communities < 1 or self.attributes < 1:
-            raise ValueError("communities and attributes must be positive")
-        if self.latent_dim < 1 or self.season_period < 1 or self.cluster_size < 1:
-            raise ValueError("latent_dim, season_period and cluster_size must be positive")
+        for name in ("communities", "attributes", "latent_dim", "season_period", "cluster_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.surge_factor < 1.0:
             raise ValueError(f"surge_factor must be >= 1, got {self.surge_factor}")
-        if self.affinity_spread <= 0 or self.base_scale <= 0:
-            raise ValueError("affinity_spread and base_scale must be positive")
+        for name in ("affinity_spread", "base_scale"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if len(self.eligible_band) != 2:
+            raise ValueError(f"eligible_band must be two values lo,hi, got {self.eligible_band}")
         lo, hi = self.eligible_band
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"eligible_band must satisfy 0 <= lo < hi <= 1, got {self.eligible_band}")

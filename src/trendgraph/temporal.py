@@ -4,8 +4,9 @@ Per time step the model embeds that month's sales with a width-3
 convolution over the community axis (``model.forward`` fuses it with the
 two graph embeddings), and rolls two recurrent cells: a vanilla GRU and a
 skip GRU whose state reaches back ``p`` steps to track periodic patterns.
-A linear autoregressive term over the scaled sales history supplies a
-per-pair forecast added inside the final score.
+A linear autoregressive term over each pair's scaled sales history, with
+lag weights that every pair shares (LSTNet's highway term), supplies a
+forecast added inside the final score.
 
 Each recurrent cell is rolled out as one autodiff node with a hand-written
 backward (``_rollout``), not as a chain of about 19 elementwise nodes per
@@ -246,10 +247,10 @@ def combine_recurrent(recent: Node, skip_history: list[Node | None],
 
 
 def autoregressive(scaled_history: list[Node], coefficients: list[Node], bias: Node) -> Node:
-    """Per-pair linear forecast over the scaled sales history.
+    """Linear forecast of every pair from its own scaled sales history.
 
-    Each lag has its own coefficient matrix aligned with the history entry
-    of the same index; the scalar bias broadcasts over all pairs.
+    Each lag has one 1x1 coefficient, aligned with the history entry of the
+    same index and shared by all pairs; the scalar bias broadcasts as well.
     """
     if len(scaled_history) != len(coefficients):
         raise ShapeMismatchError(

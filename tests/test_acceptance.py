@@ -21,7 +21,7 @@ from trendgraph import snapshots as snap
 from trendgraph.evaluate import auc, community_aucs, macro_average, mom_baseline
 from trendgraph.synthetic import GeneratorConfig, generate, write_dataset
 
-from conftest import small_series
+from conftest import finite_difference_check, small_series
 from test_encoders import make_hypergraph, two_stage_oracle
 from test_evaluate import pairwise_auc_oracle
 from test_snapshots import brute_force_labels, random_instance
@@ -52,7 +52,7 @@ class TestCriterion1GradientIntegrity:
                 total = loss if total is None else ad.add(total, loss)
             return total
 
-        fd = ad.finite_difference_check(build, store, tolerance=1e-4)
+        fd = finite_difference_check(build, store, tolerance=1e-4)
         elapsed = time.perf_counter() - started
         ok = fd.passed and elapsed < 60.0
         report(1, ok, f"full-model gradient check: worst error {fd.worst:.2e} "
@@ -157,7 +157,7 @@ class TestCriterion6SyntheticLearnability:
         catalogs, records = snap.ingest(interactions)
         series = snap.SnapshotSeries.build(records, catalogs)
         config = md.ModelConfig(seed=1, learning_rate=0.005, batch_size=300,
-                                max_epochs=100, ar_shared=True)
+                                max_epochs=100)
         result = md.train(series, config)
         consts = md.build_constants(series, config)
         test_samples = [series.samples[i] for i in series.split.test]

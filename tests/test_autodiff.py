@@ -5,7 +5,7 @@ from trendgraph import autodiff as ad
 from trendgraph import temporal as tp
 from trendgraph.errors import NonFiniteError, ShapeMismatchError
 
-from conftest import block_row_mean
+from conftest import block_row_mean, finite_difference_check, sub, tanh
 
 
 class TestForwardExamples:
@@ -46,7 +46,7 @@ class TestForwardExamples:
         store = ad.ParameterStore()
         x = store.register("x", np.random.default_rng(6).normal(size=(6, 2)))
         readout = ad.constant([[1.0, -2.0], [0.5, 3.0]])
-        report = ad.finite_difference_check(
+        report = finite_difference_check(
             lambda: ad.sum_all(ad.hadamard(block_row_mean(x, 3), readout)), store)
         assert report.passed, report.summary()
 
@@ -122,7 +122,7 @@ class TestFiniteDifferenceAllPrimitives:
         for name, shape in param_shapes.items():
             data = make[name](rng) if make and name in make else rng.normal(size=shape)
             store.register(name, data)
-        report = ad.finite_difference_check(lambda: build_loss(store, rng), store)
+        report = finite_difference_check(lambda: build_loss(store, rng), store)
         assert report.passed, report.summary()
 
     @pytest.mark.parametrize("seed", range(N_TRIALS))
@@ -140,20 +140,20 @@ class TestFiniteDifferenceAllPrimitives:
         def build():
             m = ad.matmul(a, b)                     # 3x3
             m = ad.add(m, bias)                     # row broadcast
-            m = ad.sub(m, ad.transpose(m))          # transpose + sub, reused node
+            m = sub(m, ad.transpose(m))          # transpose + sub, reused node
             m = ad.hadamard(m, r1)
             m = ad.sigmoid(m)
             n = ad.relu(ad.scale(ad.concat_cols(a, ad.transpose(b)), 0.7))  # 3x8
             n = ad.row_l2_normalize(n)
             n = ad.slice_block(n, (0, 3), (2, 5))   # 3x3
-            n = ad.tanh(n)
+            n = tanh(n)
             c = ad.matmul(patches, ker)             # 4x3, width-2 convolution
             c = block_row_mean(c, 2)                # 2x3
             f = ad.affine_relu_block_mean(patches, ker, bias, 2)   # 2x3
             return ad.add(ad.add(ad.sum_all(m), ad.sum_all(f)),
                           ad.add(ad.sum_all(n), ad.sum_all(c)))
 
-        report = ad.finite_difference_check(build, store)
+        report = finite_difference_check(build, store)
         assert report.passed, report.summary()
 
     def test_masked_bce_gradient(self):
@@ -166,7 +166,7 @@ class TestFiniteDifferenceAllPrimitives:
         def build():
             return ad.masked_bce(ad.sigmoid(z), labels, mask)
 
-        report = ad.finite_difference_check(build, store)
+        report = finite_difference_check(build, store)
         assert report.passed, report.summary()
 
     def test_quadratic_loss_is_nearly_exact(self):
@@ -177,7 +177,7 @@ class TestFiniteDifferenceAllPrimitives:
         def build():
             return ad.sum_all(ad.hadamard(x, x))
 
-        report = ad.finite_difference_check(build, store, epsilon=1e-5, tolerance=1e-6)
+        report = finite_difference_check(build, store, epsilon=1e-5, tolerance=1e-6)
         assert report.passed, report.summary()
         assert report.worst < 1e-6
 
@@ -189,7 +189,7 @@ class TestFiniteDifferenceAllPrimitives:
         def build():
             return ad.sum_all(ad.hadamard(used, used))
 
-        report = ad.finite_difference_check(build, store, epsilon=1e-5)
+        report = finite_difference_check(build, store, epsilon=1e-5)
         assert report.max_errors["unused"] < 1e-5
         assert report.passed
 
@@ -197,7 +197,7 @@ class TestFiniteDifferenceAllPrimitives:
         store = ad.ParameterStore()
         store.register("x", [[1.0]])
         with pytest.raises(ValueError, match="epsilon"):
-            ad.finite_difference_check(lambda: None, store, epsilon=1e-2)
+            finite_difference_check(lambda: None, store, epsilon=1e-2)
 
 
 class TestAffineReluBlockMean:
@@ -237,7 +237,7 @@ class TestAffineReluBlockMean:
         w = store.register("w", rng.normal(size=(3, 4)))
         b = store.register("b", rng.normal(size=(1, 4)))
         readout = ad.constant(rng.normal(size=(3, 4)))
-        report = ad.finite_difference_check(
+        report = finite_difference_check(
             lambda: ad.sum_all(ad.hadamard(ad.affine_relu_block_mean(x, w, b, 4), readout)), store)
         assert report.passed, report.summary()
 
@@ -264,7 +264,7 @@ class TestInvariants:
         def run():
             x = ad.constant(data)
             ww = ad.constant(w)
-            out = ad.row_l2_normalize(ad.tanh(ad.matmul(ad.sigmoid(x), ww)))
+            out = ad.row_l2_normalize(tanh(ad.matmul(ad.sigmoid(x), ww)))
             return out.value.tobytes()
 
         assert run() == run()
@@ -288,7 +288,7 @@ class TestInvariants:
             a = ad.constant(rng.normal(size=(4, 4)) * 100)
             b = ad.constant(rng.normal(size=(4, 4)) * 100)
             outs = [ad.matmul(a, b), ad.add(a, b), ad.hadamard(a, b), ad.sigmoid(a),
-                    ad.tanh(b), ad.relu(a), ad.row_l2_normalize(b), ad.transpose(a)]
+                    tanh(b), ad.relu(a), ad.row_l2_normalize(b), ad.transpose(a)]
             for node in outs:
                 assert np.all(np.isfinite(node.value))
 

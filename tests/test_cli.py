@@ -149,10 +149,34 @@ class TestTrain:
         assert code == 2
         assert f"{latin / 'interactions.csv'}: not UTF-8" in capsys.readouterr().err
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir):
-        code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
-                         "--set", "nonsense=1"])
-        assert code == 1
+    def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir, capsys):
+        # the last three are keys that older run directories' config.resolved hold
+        for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01"):
+            code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                             "--set", item])
+            assert code == 1, item
+            key = item.partition("=")[0]
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--data", "d", "--out", "r", "--set", "alpha=2"],
+         "alpha must be in [0, 1], got 2.0"),
+        (["train", "--data", "d", "--out", "r", "--set", "batch_size=0"],
+         "batch_size must be at least 1, got 0"),
+        (["generate", "--out", "r", "--set", "months=5"], "months must be >= 13, got 5"),
+        (["generate", "--out", "r", "--set", "eligible_band=0.5"],
+         "eligible_band must be two values lo,hi, got (0.5,)"),
+        (["sweep-alpha", "--data", "d", "--out", "r", "--set", "alpha_grid=0.5,2"],
+         "alpha_grid must be a non-empty list of values in [0, 1], got (0.5, 2.0)"),
+    ], ids=["alpha", "batch_size", "months", "eligible_band", "alpha_grid"])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestConfigFile:

@@ -4,6 +4,8 @@ import pytest
 from trendgraph import autodiff as ad
 from trendgraph import encoders as enc
 
+from conftest import finite_difference_check
+
 
 def make_snapshot(adjacency, n_communities):
     """Unit-sales communities x attributes matrix; adjacency[j] lists attribute j's communities."""
@@ -208,7 +210,7 @@ class TestEncoderProperties:
             mixed = ad.add(g, h)
             return ad.sum_all(ad.hadamard(mixed, ad.constant(readout)))
 
-        report = ad.finite_difference_check(build, store, tolerance=1e-4)
+        report = finite_difference_check(build, store, tolerance=1e-4)
         assert report.passed, report.summary()
 
     def test_community_table_untouched_by_hyperconv_path(self):

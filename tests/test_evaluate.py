@@ -110,13 +110,6 @@ class TestMomBaseline:
             sales = monthly.month(4)
             assert pred.ranked_lists == snap.rank_lists_for_sales(sales, 50)
 
-    def test_membership_mode(self):
-        catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3"))
-        monthly = monthly_from_tuples([(1, "c1", "a1", 9), (1, "c1", "a2", 5),
-                                       (1, "c1", "a3", 2), (2, "c1", "a1", 1)], catalogs)
-        pred = ev.mom_baseline(monthly, catalogs, 2, 50, score_mode="membership")
-        np.testing.assert_array_equal(pred.scores, [[1.0, 1.0, 0.0]])
-
 
 class TestEvaluatePredictions:
     def sample(self, labels):

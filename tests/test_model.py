@@ -9,7 +9,7 @@ from trendgraph import model as md
 from trendgraph.errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
-from conftest import random_monthly, small_series
+from conftest import finite_difference_check, random_monthly, small_series
 
 SMALL = md.ModelConfig(d=4, seed=3, batch_size=5, max_epochs=3, learning_rate=0.01)
 
@@ -19,6 +19,18 @@ def zeroed_store(config, catalogs):
     for _, node in store.items():
         node.value[...] = 0.0
     return store
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("grid", [(), (0.5, 2.0), (-0.25,)])
+    def test_alpha_grid_must_be_non_empty_and_within_0_1(self, grid):
+        with pytest.raises(ValueError, match=r"alpha_grid must be a non-empty list"):
+            replace(SMALL, alpha_grid=grid).validate()
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.001])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ValueError, match=r"learning_rate must be finite and >= 0"):
+            replace(SMALL, learning_rate=rate).validate()
 
 
 class TestInitialize:
@@ -50,6 +62,14 @@ class TestInitialize:
         store = md.initialize(replace(SMALL, window_length=12), tiny_series.catalogs)
         lags = [n for n in store.names() if n.startswith("ar_lag_")]
         assert len(lags) == 12
+
+    def test_no_parameter_shape_depends_on_the_attribute_catalog(self):
+        communities = ("c0", "c1", "c2")
+        small = md.initialize(SMALL, Catalogs(communities, tuple(f"a{j}" for j in range(5))))
+        large = md.initialize(SMALL, Catalogs(communities, tuple(f"a{j}" for j in range(9))))
+        assert small.names() == large.names()
+        for name in small.names():
+            assert small[name].value.shape == large[name].value.shape, name
 
 
 class TestForward:
@@ -100,27 +120,15 @@ class TestForward:
         cells = np.nonzero(moved)
         permuted_monthly = MonthlySales.from_cells(permuted, cells[0] + monthly.first_month,
                                                    cells[1], cells[2], moved[cells])
-        config = replace(SMALL, ar_shared=True)
 
         def scores(monthly, cats):
             series = SnapshotSeries.build(monthly, cats)
-            store = md.initialize(config, cats)
-            consts = md.build_constants(series, config)
-            return md.forward(series, consts, series.samples[0], store, config).value
+            store = md.initialize(SMALL, cats)
+            consts = md.build_constants(series, SMALL)
+            return md.forward(series, consts, series.samples[0], store, SMALL).value
 
         np.testing.assert_allclose(scores(permuted_monthly, permuted),
                                    scores(monthly, catalogs)[:, perm], atol=1e-12)
-
-    def test_time_axis_variant_runs_and_differs(self, tiny_series):
-        store = md.initialize(SMALL, tiny_series.catalogs)
-        community = md.build_constants(tiny_series, SMALL)
-        time_cfg = replace(SMALL, sales_conv_axis="time")
-        timewise = md.build_constants(tiny_series, time_cfg)
-        sample = tiny_series.samples[0]
-        a = md.forward(tiny_series, community, sample, store, SMALL)
-        b = md.forward(tiny_series, timewise, sample, store, time_cfg)
-        assert a.value.shape == b.value.shape
-        assert not np.array_equal(a.value, b.value)
 
 
 class TestRowRestriction:
@@ -333,33 +341,6 @@ class TestAlphaEndpoints:
         assert np.abs(store["hyper_mix_0"].grad).max() > 0
 
 
-class TestGridSearch:
-    def test_single_cell_returns_it(self, tiny_series):
-        config = replace(SMALL, lr_grid=(0.01,), alpha_grid=(0.5,), max_epochs=2)
-        result = md.grid_search(tiny_series, config)
-        assert len(result.cells) == 1
-        assert result.best_config.learning_rate == 0.01
-        assert result.best_config.alpha == 0.5
-
-    def test_grid_cardinality(self, tiny_series):
-        config = replace(SMALL, lr_grid=(0.01, 0.02), alpha_grid=(0.0, 0.5, 1.0),
-                         max_epochs=1)
-        result = md.grid_search(tiny_series, config)
-        assert len(result.cells) == 6
-
-    def test_ties_prefer_smaller_lr_then_smaller_alpha(self, tiny_series):
-        # learning rate zero keeps every cell at the same validation AUC
-        config = replace(SMALL, learning_rate=0.0, lr_grid=(0.0,),
-                         alpha_grid=(0.75, 0.25), max_epochs=1)
-        result = md.grid_search(tiny_series, config)
-        assert result.best_config.alpha == 0.25
-
-    def test_empty_grid_rejected(self, tiny_series):
-        config = replace(SMALL, lr_grid=())
-        with pytest.raises(ValueError, match="non-empty"):
-            md.grid_search(tiny_series, config)
-
-
 class TestFullModelGradients:
     def test_finite_difference_check_on_small_model(self):
         series = small_series(seed=11, n_communities=2, n_attributes=3, months=14)
@@ -380,5 +361,5 @@ class TestFullModelGradients:
                 total = loss if total is None else ad.add(total, loss)
             return total
 
-        report = ad.finite_difference_check(build, store, tolerance=1e-4)
+        report = finite_difference_check(build, store, tolerance=1e-4)
         assert report.passed, report.summary()

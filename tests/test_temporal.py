@@ -9,7 +9,7 @@ from trendgraph import model as md
 from trendgraph import temporal as tp
 from trendgraph.errors import ShapeMismatchError
 
-from conftest import gru_cell, gru_rollout_oracle
+from conftest import finite_difference_check, gru_cell, gru_rollout_oracle
 
 
 def make_gru_weights(rng, d, scale=1.0):
@@ -264,7 +264,7 @@ class TestFusedRollout:
             return ad.add(ad.sum_all(ad.hadamard(states[-1], readout)),
                           ad.sum_all(ad.hadamard(states[-2], states[-3])))
 
-        report = ad.finite_difference_check(build, store, tolerance=1e-6)
+        report = finite_difference_check(build, store, tolerance=1e-6)
         assert report.passed, report.summary()
 
     def test_a_rollout_over_constants_keeps_no_graph(self):
@@ -353,15 +353,15 @@ class TestAutoregressive:
     def test_last_lag_selector(self):
         rng = np.random.default_rng(6)
         hist = self.history(rng, 4)
-        coeffs = [ad.constant(np.zeros((2, 3))) for _ in range(3)]
-        coeffs.append(ad.constant(np.ones((2, 3))))
+        coeffs = [ad.constant(np.zeros((1, 1))) for _ in range(3)]
+        coeffs.append(ad.constant(np.ones((1, 1))))
         out = tp.autoregressive(hist, coeffs, ad.constant([[0.0]]))
         np.testing.assert_allclose(out.value, hist[-1].value, atol=1e-12)
 
     def test_zero_coefficients_give_bias(self):
         rng = np.random.default_rng(7)
         hist = self.history(rng, 3)
-        coeffs = [ad.constant(np.zeros((2, 3))) for _ in range(3)]
+        coeffs = [ad.constant(np.zeros((1, 1))) for _ in range(3)]
         out = tp.autoregressive(hist, coeffs, ad.constant([[2.5]]))
         np.testing.assert_array_equal(out.value, np.full((2, 3), 2.5))
 
@@ -369,7 +369,7 @@ class TestAutoregressive:
         rng = np.random.default_rng(8)
         lags = 5
         hist = self.history(rng, lags)
-        coeffs = [ad.constant(np.full((2, 3), 1.0 / lags)) for _ in range(lags)]
+        coeffs = [ad.constant(np.full((1, 1), 1.0 / lags)) for _ in range(lags)]
         out = tp.autoregressive(hist, coeffs, ad.constant([[0.0]]))
         want = np.mean([h.value for h in hist], axis=0)
         np.testing.assert_allclose(out.value, want, atol=1e-12)
@@ -378,7 +378,7 @@ class TestAutoregressive:
         rng = np.random.default_rng(9)
         hist = self.history(rng, 3)
         with pytest.raises(ShapeMismatchError, match="history length"):
-            tp.autoregressive(hist, [ad.constant(np.zeros((2, 3)))], ad.constant([[0.0]]))
+            tp.autoregressive(hist, [ad.constant(np.zeros((1, 1)))], ad.constant([[0.0]]))
 
 
 class TestTemporalGradients:
@@ -407,19 +407,19 @@ class TestTemporalGradients:
             combined = tp.combine_recurrent(h_r[-1], [h_s[-2], h_s[-3]], w_recent, w_skips, bias)
             return ad.sum_all(ad.hadamard(combined, ad.constant(readout)))
 
-        report = ad.finite_difference_check(build, store, tolerance=1e-4)
+        report = finite_difference_check(build, store, tolerance=1e-4)
         assert report.passed, report.summary()
 
     def test_autoregressive_gradients(self):
         rng = np.random.default_rng(34)
         store = ad.ParameterStore()
         lags = 4
-        coeffs = [store.register(f"ar_{i}", rng.normal(size=(2, 3)) * 0.1) for i in range(lags)]
+        coeffs = [store.register(f"ar_{i}", rng.normal(size=(1, 1)) * 0.1) for i in range(lags)]
         bias = store.register("ar_bias", rng.normal(size=(1, 1)))
         hist = [ad.constant(rng.uniform(0, 3, size=(2, 3))) for _ in range(lags)]
 
         def build():
             return ad.sum_all(tp.autoregressive(hist, coeffs, bias))
 
-        report = ad.finite_difference_check(build, store)
+        report = finite_difference_check(build, store)
         assert report.passed, report.summary()
