@@ -482,10 +482,9 @@ class ParameterStore:
         self.restore_values(values)
 
 
-def adam_step(store: ParameterStore, learning_rate: float,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
+def adam_step(store: ParameterStore, learning_rate: float) -> None:
     """One Adam update over every registered parameter; gradients are left intact."""
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     for name, node in store.items():
         g = node.grad
         if not np.all(np.isfinite(g)):

@@ -42,20 +42,13 @@ def _parse_value(raw: str, annotation):
         return float(raw)
     if annotation == "str":
         return raw
-    if annotation == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if annotation.startswith("tuple[float"):
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     raise ValueError(f"unsupported config field type {annotation!r}")
 
 
 def _field_types(cls) -> dict[str, str]:
-    return {f.name: f.type if isinstance(f.type, str) else f.type.__name__
-            for f in dataclasses.fields(cls)}
+    return {f.name: f.type for f in dataclasses.fields(cls)}
 
 
 _MODEL_FIELDS = _field_types(ModelConfig)
@@ -330,13 +323,11 @@ def build_parser() -> _Parser:
                      description="Community attribute-trend prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, seed=True):
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
+    def common(p):
+        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the seed")
+        p.add_argument("--seed", type=int, help="override the seed")
 
     p = sub.add_parser("generate", help="write a synthetic interaction dataset")
     common(p)

@@ -93,8 +93,7 @@ class EvalReport:
 
 
 def community_aucs(predictions: list[PredictionMatrix], samples: list[TrendSample],
-                   n_communities: int, tie_credit: bool = True
-                   ) -> tuple[list[float | None], list[int], list[int]]:
+                   n_communities: int) -> tuple[list[float | None], list[int], list[int]]:
     """Per-community AUC over valid (attribute, label) pairs, pooled across samples."""
     per_scores: list[list[np.ndarray]] = [[] for _ in range(n_communities)]
     per_labels: list[list[np.ndarray]] = [[] for _ in range(n_communities)]
@@ -119,7 +118,7 @@ def community_aucs(predictions: list[PredictionMatrix], samples: list[TrendSampl
         positives.append(n_pos)
         negatives.append(n_neg)
         try:
-            aucs.append(auc(scores, labels, tie_credit=tie_credit))
+            aucs.append(auc(scores, labels))
         except UndefinedAucError:
             aucs.append(None)
     return aucs, positives, negatives
@@ -131,13 +130,11 @@ def macro_average(values: list[float | None]) -> float | None:
 
 
 def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[TrendSample],
-                         catalogs: Catalogs, top_n: int = 10,
-                         tie_credit: bool = True) -> EvalReport:
+                         catalogs: Catalogs, top_n: int = 10) -> EvalReport:
     """Score a prediction set against its samples and emit the report."""
     if not predictions or len(predictions) != len(samples):
         raise ValueError("need one prediction per sample")
-    aucs, positives, negatives = community_aucs(
-        predictions, samples, catalogs.n_communities, tie_credit=tie_credit)
+    aucs, positives, negatives = community_aucs(predictions, samples, catalogs.n_communities)
     top = predictions[0].top_lists(top_n)
     rows = []
     for k, community in enumerate(catalogs.communities):

@@ -79,6 +79,8 @@ class ModelConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 < self.k_percent <= 100.0):
             raise ValueError(f"k_percent must be in (0, 100], got {self.k_percent}")
+        if not (0.0 < self.bce_eps < 0.5):
+            raise ValueError(f"bce_eps must be in (0, 0.5), got {self.bce_eps}")
 
 
 def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
@@ -172,6 +174,10 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     the AR term see the range's rows alone.  ``store`` maps parameter names to
     nodes: a ``ParameterStore`` for training, constants for inference.
     """
+    if len(sample.window_months) != config.window_length:
+        raise ShapeMismatchError(
+            f"sample window has {len(sample.window_months)} months, "
+            f"config window_length is {config.window_length}")
     catalogs = series.catalogs
     n_attributes = catalogs.n_attributes
     a0, a1 = rows = attr_range if attr_range is not None else (0, n_attributes)
@@ -213,16 +219,16 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
 
     recent_states = tp.gru_rollout(inputs, _gru_weights(store, "gru"))
     recent = recent_states[-1]
+    history: list[Node | None] = []
+    skip_weights: list[Node] = []
     if config.ablation != "gru-only":
         skip_states = tp.skip_gru_rollout(inputs, _gru_weights(store, "skipgru"), config.p)
         last = len(inputs) - 1
         history = [skip_states[last - i] if last - i >= 0 else None
                    for i in range(1, config.p)]
-        evolved = tp.combine_recurrent(recent, history, store["combine_recent"],
-                                       [store[f"combine_skip_{i}"] for i in range(1, config.p)],
-                                       store["combine_bias"])
-    else:
-        evolved = ad.add(ad.matmul(recent, store["combine_recent"]), store["combine_bias"])
+        skip_weights = [store[f"combine_skip_{i}"] for i in range(1, config.p)]
+    evolved = tp.combine_recurrent(recent, history, store["combine_recent"], skip_weights,
+                                   store["combine_bias"])
 
     history_nodes = [ad.constant(consts.scaled[m][:, a0:a1]) for m in sample.window_months]
     coeff_nodes = [store[f"ar_lag_{lag:02d}"] for lag in range(len(sample.window_months))]

@@ -19,7 +19,7 @@ rule recovers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,11 @@ ANNOTATION_HEADER = ["month", "community", "attribute"]
 
 RAMP_EXPONENTS = (0.4, 0.6)    # multiplier exponents two months and one month before onset
 DECAY_EXPONENT = 0.5           # multiplier exponent the month after onset
+LATENT_DIM = 8                 # width of the community and attribute affinity vectors
+SEASON_PERIOD = 12             # months per seasonal cycle
+BASE_SCALE = 300.0             # baseline rate = BASE_SCALE * softplus(affinity)
+AFFINITY_SPREAD = 2.2          # spread of the affinity logits
+SEASON_AMPLITUDE = 0.3         # relative swing of the seasonal cycle
 
 
 @dataclass
@@ -38,19 +43,12 @@ class GeneratorConfig:
     communities: int = 7
     attributes: int = 300
     months: int = 25
-    latent_dim: int = 8
-    season_period: int = 12
     onset_rate: float = 0.02
     noise: float = 0.03
     seed: int = 7
     surge_factor: float = 5.0
-    base_scale: float = 300.0
-    affinity_spread: float = 2.2
-    season_amplitude: float = 0.3
     cluster_size: int = 10
     eligible_band: tuple[float, float] = (0.15, 0.45)
-    participation: float = 1.0
-    cluster_onsets: bool = False
 
     def validate(self) -> None:
         if self.months < 13:
@@ -59,16 +57,11 @@ class GeneratorConfig:
             raise ValueError(f"onset_rate must be in [0, 1], got {self.onset_rate}")
         if not (0.0 <= self.noise <= 1.0):
             raise ValueError(f"noise must be in [0, 1], got {self.noise}")
-        if not (0.0 < self.participation <= 1.0):
-            raise ValueError(f"participation must be in (0, 1], got {self.participation}")
-        for name in ("communities", "attributes", "latent_dim", "season_period", "cluster_size"):
+        for name in ("communities", "attributes", "cluster_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.surge_factor < 1.0:
             raise ValueError(f"surge_factor must be >= 1, got {self.surge_factor}")
-        for name in ("affinity_spread", "base_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if len(self.eligible_band) != 2:
             raise ValueError(f"eligible_band must be two values lo,hi, got {self.eligible_band}")
         lo, hi = self.eligible_band
@@ -80,10 +73,8 @@ class GeneratorConfig:
 class SyntheticDataset:
     """Rows ready for the interaction CSV plus the planted-onset annotations."""
 
-    config: GeneratorConfig
     rows: list[tuple[int, str, str, int]]
     annotations: list[tuple[int, str, str]]
-    base_rates: np.ndarray = field(repr=False, default=None)
 
     def interactions_csv(self) -> str:
         lines = [",".join(CSV_HEADER)]
@@ -117,24 +108,24 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     n_c, n_a, n_m = config.communities, config.attributes, config.months
 
     # latent affinities; attribute vectors cluster around shared centers
-    sigma = (config.affinity_spread ** 2 / config.latent_dim) ** 0.25
-    u = rng.normal(0.0, sigma, size=(n_c, config.latent_dim))
+    sigma = (AFFINITY_SPREAD ** 2 / LATENT_DIM) ** 0.25
+    u = rng.normal(0.0, sigma, size=(n_c, LATENT_DIM))
     n_clusters = max(1, math.ceil(n_a / config.cluster_size))
-    centers = rng.normal(0.0, sigma, size=(n_clusters, config.latent_dim))
+    centers = rng.normal(0.0, sigma, size=(n_clusters, LATENT_DIM))
     cluster_of = np.repeat(np.arange(n_clusters), config.cluster_size)[:n_a]
-    v = centers[cluster_of] + rng.normal(0.0, 0.35 * sigma, size=(n_a, config.latent_dim))
-    base = config.base_scale * _softplus(u @ v.T)          # communities x attributes
+    v = centers[cluster_of] + rng.normal(0.0, 0.35 * sigma, size=(n_a, LATENT_DIM))
+    base = BASE_SCALE * _softplus(u @ v.T)          # communities x attributes
 
     # per-attribute seasonal phase, shared within a cluster plus jitter
-    phase = (rng.uniform(0.0, config.season_period, size=n_clusters)[cluster_of]
+    phase = (rng.uniform(0.0, SEASON_PERIOD, size=n_clusters)[cluster_of]
              + rng.uniform(0.0, 2.0, size=n_a))
 
     # schedule surges: each month a few attributes start trending across most
-    # communities at once (market-wide onsets with per-community
-    # participation).  Candidates sit in a mid-tier percentile band of the
-    # baseline, so they are absent from year-back top lists but near-certain
-    # entrants once multiplied.  An attribute rests for 13 months after an
-    # onset so no surge residue lands at its own year-back reference month.
+    # communities at once (market-wide onsets).  Candidates sit in a mid-tier
+    # percentile band of the baseline, so they are absent from year-back top
+    # lists but near-certain entrants once multiplied.  An attribute rests for
+    # 13 months after an onset so no surge residue lands at its own year-back
+    # reference month.
     lo, hi = config.eligible_band
     ranks = base.argsort(axis=1).argsort(axis=1) / max(1, n_a - 1)
     in_band = (ranks >= lo) & (ranks <= hi)
@@ -150,20 +141,13 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
         eligible = np.flatnonzero(candidate & (month - last_onset > 13))
         if per_month == 0 or eligible.size == 0:
             continue
-        if config.cluster_onsets:
-            clusters = np.unique(cluster_of[eligible])
-            take = min(max(1, per_month // config.cluster_size), clusters.size)
-            chosen_clusters = rng.choice(clusters, size=take, replace=False)
-            chosen = eligible[np.isin(cluster_of[eligible], chosen_clusters)]
-        else:
-            chosen = rng.choice(eligible, size=min(per_month, eligible.size), replace=False)
+        chosen = rng.choice(eligible, size=min(per_month, eligible.size), replace=False)
         for j in chosen:
             last_onset[j] = month
             # a community joins only when the attribute sits below its median
             # there as well, so the year-back absence holds per pair
-            members = np.flatnonzero((rng.random(n_c) < config.participation) & in_band[:, j])
-            if members.size == 0:
-                continue
+            members = np.flatnonzero(in_band[:, j])
+            rng.random(n_c)  # unused draw, kept so that every seed still yields the same dataset
             for k in members:
                 annotations.append((month, int(k), int(j)))
                 if month - 2 >= 1:
@@ -179,8 +163,8 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
     rows: list[tuple[int, str, str, int]] = []
     months_axis = np.arange(1, n_m + 1)
     for month in months_axis:
-        season = 1.0 + config.season_amplitude * np.sin(
-            2.0 * math.pi * (month + phase) / config.season_period)
+        season = 1.0 + SEASON_AMPLITUDE * np.sin(
+            2.0 * math.pi * (month + phase) / SEASON_PERIOD)
         rate = base * season[None, :] * multiplier[month]
         if config.noise > 0.0:
             jitter = rng.normal(0.0, 1.0, size=rate.shape)
@@ -191,8 +175,7 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
             for j in nonzero:
                 rows.append((int(month), communities[k], attributes[j], int(sales[k, j])))
     named_annotations = sorted((m, communities[k], attributes[j]) for m, k, j in annotations)
-    return SyntheticDataset(config=config, rows=rows, annotations=named_annotations,
-                            base_rates=base)
+    return SyntheticDataset(rows=rows, annotations=named_annotations)
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir) -> tuple[str, str]:

@@ -53,6 +53,16 @@ class TestGenerate:
         assert "attributes=24" in resolved
         assert "seed=5" in resolved
 
+    def test_replays_from_its_resolved_config(self, tmp_path, data_dir):
+        resolved = data_dir / "config.resolved"
+        keys = [line.partition("=")[0] for line in resolved.read_text().splitlines()]
+        assert keys == ["communities", "attributes", "months", "onset_rate", "noise", "seed",
+                        "surge_factor", "cluster_size", "eligible_band"]
+        replay = tmp_path / "replay"
+        assert cli.main(["generate", "--config", str(resolved), "--out", str(replay)]) == 0
+        assert (replay / "interactions.csv").read_bytes() == \
+            (data_dir / "interactions.csv").read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path, tiny_config, data_dir):
         other = tmp_path / "data2"
         assert cli.main(["generate", "--config", tiny_config, "--seed", "99",
@@ -150,8 +160,9 @@ class TestTrain:
         assert f"{latin / 'interactions.csv'}: not UTF-8" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir, capsys):
-        # the last three are keys that older run directories' config.resolved hold
-        for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01"):
+        # the others are keys that older run or data directories' config.resolved hold
+        for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01",
+                     "latent_dim=8", "cluster_onsets=true"):
             code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                              "--set", item])
             assert code == 1, item
@@ -169,7 +180,12 @@ class TestTrain:
          "eligible_band must be two values lo,hi, got (0.5,)"),
         (["sweep-alpha", "--data", "d", "--out", "r", "--set", "alpha_grid=0.5,2"],
          "alpha_grid must be a non-empty list of values in [0, 1], got (0.5, 2.0)"),
-    ], ids=["alpha", "batch_size", "months", "eligible_band", "alpha_grid"])
+        (["train", "--data", "d", "--out", "r", "--set", "bce_eps=0.7"],
+         "bce_eps must be in (0, 0.5), got 0.7"),
+        (["train", "--data", "d", "--out", "r", "--set", "bce_eps=-1"],
+         "bce_eps must be in (0, 0.5), got -1.0"),
+    ], ids=["alpha", "batch_size", "months", "eligible_band", "alpha_grid",
+            "bce_eps_above_half", "bce_eps_negative"])
     def test_invalid_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 1

@@ -110,6 +110,13 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match=rf"\({bad[0]}, {bad[1]}\).* 5 attributes"):
             md.forward(tiny_series, consts, tiny_series.samples[0], store, SMALL, attr_range=bad)
 
+    @pytest.mark.parametrize("window_length", [6, 13])
+    def test_window_length_mismatch_is_refused(self, tiny_series, window_length):
+        config = replace(SMALL, window_length=window_length)
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"window has 12 months, config window_length is {window_length}"):
+            md.train(tiny_series, config)
+
     def test_scores_follow_a_permutation_of_the_attribute_catalog(self):
         monthly, catalogs = random_monthly(seed=8)
         perm = np.random.default_rng(4).permutation(catalogs.n_attributes)
