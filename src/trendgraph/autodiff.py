@@ -7,6 +7,7 @@ parameter store with its text checkpoint format.
 All values are 2-D C-contiguous float64 arrays.  Forward evaluation is
 eager and deterministic: identical inputs produce bit-identical outputs.
 Gradients accumulate additively; callers zero them between optimizer steps.
+``backward`` consumes the graph it walks: only parameters keep a gradient.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def affine_relu_block_mean(x: Node, w: Node, b: Node, block: int) -> Node:
     The arithmetic is that of ``relu(add(matmul(x, w), b))`` followed by a
     block mean, operation for operation, so values and gradients equal the
     chain's bit for bit; but one buffer holds the affine map and its ReLU in
-    place and serves backward as the ReLU mask.
+    place, and backward keeps only its sign as a bool ReLU mask.
     """
     if x.cols != w.rows or b.value.shape != (1, w.cols):
         raise ShapeMismatchError(
@@ -320,10 +321,14 @@ def affine_relu_block_mean(x: Node, w: Node, b: Node, block: int) -> Node:
     z += b.value
     np.maximum(z, 0.0, out=z)
     value = z.reshape(x.rows // block, block, w.cols).mean(axis=1)
+    if not (x.needs_grad or w.needs_grad or b.needs_grad):
+        return Node(value, op="affine_relu_block_mean")
+    # one byte per entry: the float buffer z is freed on return
+    mask = z > 0.0
 
     def backward(g: Matrix) -> None:
         gz = np.repeat(g / block, block, axis=0)
-        np.multiply(gz, z > 0.0, out=gz)
+        np.multiply(gz, mask, out=gz)
         if x.needs_grad:
             x.accumulate_owned(gz @ w.value.T)
         if w.needs_grad:
@@ -357,7 +362,11 @@ def masked_bce(scores: Node, labels: Matrix, mask: Matrix, eps: float = 1e-7) ->
 
 
 def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order over the needs-grad subgraph; root comes last."""
+    """Iterative post-order over the needs-grad subgraph; root comes last.
+
+    Raises ``RuntimeError`` on reaching an interior node whose rule an
+    earlier ``backward`` has already fired and released.
+    """
     order: list[Node] = []
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -368,6 +377,10 @@ def _topo_order(root: Node) -> list[Node]:
             continue
         if id(node) in visited:
             continue
+        if node._backward is None and not node.trainable:
+            raise RuntimeError(
+                f"backward: node '{node.name or node.op}' was released by an earlier "
+                f"backward; run the forward again to rebuild the graph")
         visited.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -377,10 +390,14 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into every reachable node's gradient.
+    """Accumulate d(loss)/d(param) into every reachable parameter's gradient,
+    consuming the graph.
 
-    Requires a 1x1 loss.  Each node's backward rule fires exactly once, in
-    reverse topological order.
+    Requires a 1x1 loss.  Each interior node's backward rule fires exactly
+    once, then releases: in reverse topological order, the node drops its
+    gradient, its rule and its parents, so each intermediate value is freed
+    once no pending rule reads it.  Parameters keep their gradients.  A
+    second backward over a released graph raises ``RuntimeError``.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(f"backward: loss must be 1x1, got shape {loss.value.shape}")
@@ -388,9 +405,13 @@ def backward(loss: Node) -> None:
         return
     order = _topo_order(loss)
     loss.accumulate_grad(np.ones((1, 1)))
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    while order:
+        node = order.pop()
+        if node.trainable:
+            continue
+        node._backward(node.grad)
+        node._grad = node._backward = None
+        node.parents = ()
 
 
 class ParameterStore:

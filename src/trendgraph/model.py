@@ -221,7 +221,8 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     recent = recent_states[-1]
     history: list[Node | None] = []
     skip_weights: list[Node] = []
-    if config.ablation != "gru-only":
+    # at p = 1 the combiner reads no skip state, so the skip cell is not rolled
+    if config.ablation != "gru-only" and config.p >= 2:
         skip_states = tp.skip_gru_rollout(inputs, _gru_weights(store, "skipgru"), config.p)
         last = len(inputs) - 1
         history = [skip_states[last - i] if last - i >= 0 else None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,59 @@ class TestGraphFree:
         a = ad.constant(np.ones((2, 2)))
         out = ad.matmul(a, ad.constant(np.eye(2)))
         assert out.parents == () and out._backward is None and not out.needs_grad
+
+
+class TestBackwardReleasesGraph:
+    @staticmethod
+    def chain():
+        store = ad.ParameterStore()
+        x = store.register("x", [[1.0, -2.0]])
+        hidden = ad.sigmoid(ad.matmul(x, ad.constant([[0.5], [0.25]])))
+        loss = ad.sum_all(ad.hadamard(hidden, hidden))
+        return x, hidden, loss
+
+    def test_parameters_keep_gradients_and_interior_nodes_release(self):
+        x, hidden, loss = self.chain()
+        ad.backward(loss)
+        assert x.grad.any()
+        for node in (hidden, loss):
+            assert node.parents == () and node._grad is None and node._backward is None
+        assert hidden.value.shape == (1, 1)
+
+    def test_second_backward_raises(self):
+        _, hidden, loss = self.chain()
+        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="released by an earlier backward"):
+            ad.backward(loss)
+        with pytest.raises(RuntimeError, match="released by an earlier backward"):
+            ad.backward(ad.sum_all(hidden))
+
+    def test_backward_peak_stays_near_the_forward_graph(self):
+        # a chain of 10 matmuls: holding each node's gradient until the end
+        # would add 10 buffers of this size to the forward graph's peak
+        n, depth = 200, 10
+        size = n * n * 8
+        rng = np.random.default_rng(5)
+        store = ad.ParameterStore()
+        x = store.register("x", rng.normal(size=(n, n)))
+        mix = ad.constant(rng.normal(size=(n, n)) / np.sqrt(n))
+        tracemalloc.start()
+        try:
+            out = x
+            for _ in range(depth):
+                out = ad.matmul(out, mix)
+            loss = ad.sum_all(out)
+            del out
+            forward, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward > depth * size
+        assert peak - forward < 3 * size
+        # what is left is the parameter's gradient
+        assert after < 2 * size
 
 
 class TestInvariants:

@@ -315,6 +315,16 @@ class TestAblationIsolation:
         self.perturb(store, skip_names)
         assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
 
+    def test_p_one_ignores_and_skips_the_skip_cell(self, tiny_series, monkeypatch):
+        config = replace(SMALL, p=1)
+        store = md.initialize(config, tiny_series.catalogs)
+        base = self.scores_for(tiny_series, config, store)
+        self.perturb(store, [n for n in store.names() if n.startswith("skipgru_")])
+        rolled = []
+        monkeypatch.setattr(md.tp, "skip_gru_rollout", lambda *args: rolled.append(args))
+        assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
+        assert rolled == []
+
     def test_full_model_reacts_to_every_component(self, tiny_series):
         store = md.initialize(SMALL, tiny_series.catalogs)
         base = self.scores_for(tiny_series, SMALL, store)
