@@ -8,12 +8,24 @@ All values are 2-D C-contiguous float64 arrays.  Forward evaluation is
 eager and deterministic: identical inputs produce bit-identical outputs.
 Gradients accumulate additively; callers zero them between optimizer steps.
 ``backward`` consumes the graph it walks: only parameters keep a gradient.
+
+When BLAS leaves a usable CPU free (at least 2 CPUs, BLAS pinned to fewer
+threads than that), one worker thread runs beside the caller:
+``run_beside`` runs a second independent computation on it, and
+``backward`` hands it the rule of a ``detached`` node while the caller goes
+on firing other rules.  numpy releases the interpreter lock inside matrix
+products and elementwise loops, so the two overlap.  BLAS stays at the
+thread count the process set: 1 for the recorded scores and timings.
+Every gradient is summed in the order of the sequential walk, so results
+are byte-identical with and without the worker.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
-from typing import Callable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -22,6 +34,54 @@ from .errors import NonFiniteError, ShapeMismatchError
 Matrix = np.ndarray
 
 CHECKPOINT_MAGIC = "DYTG1"
+
+T = TypeVar("T")
+S = TypeVar("S")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cpu_left_by_blas(cpus: int, environ) -> bool:
+    """Whether BLAS leaves one of ``cpus`` usable CPUs free.
+
+    OpenBLAS runs as many threads as the first of these variables that holds
+    a positive count, at most one per CPU, and one per CPU when none does.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) < cpus
+    return False
+
+
+# A worker thread pays only on a CPU that nothing else uses: on one CPU it
+# adds interpreter-lock hand-offs, and next to a BLAS thread on every CPU it
+# competes with BLAS threads waiting for work.  The executor starts its
+# thread on the first submit, not on import.
+_WORKER = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="trendgraph-worker")
+           if _cpu_left_by_blas(_usable_cpus(), os.environ) else None)
+
+
+def run_beside(main: Callable[[], T], side: Callable[[], S]) -> tuple[T, S]:
+    """``(main(), side())``, with ``side`` on the worker thread while ``main``
+    runs on the caller; without a worker both run on the caller.
+
+    The two must not read each other's results.  The call returns or raises
+    only once both have finished, so no task outlives it; an exception from
+    ``main`` takes precedence over one from ``side``.
+    """
+    if _WORKER is None:
+        return main(), side()
+    future = _WORKER.submit(side)
+    try:
+        first = main()
+    finally:
+        wait((future,))
+    return first, future.result()
 
 
 def as_matrix(data) -> Matrix:
@@ -45,13 +105,19 @@ class Node:
     prunes everything else.  A node that needs no gradient keeps neither its
     parents nor its backward rule, so a forward over constants builds no
     graph and frees each intermediate once nothing downstream reads it.
+
+    A ``detached`` node's rule accumulates nothing itself: it returns
+    ``(parent, gradient)`` pairs of freshly allocated arrays, which
+    ``backward`` adds in the order listed.  Such a rule may run on the worker
+    thread, so it reads only its own gradient and the values of its parents.
     """
 
-    __slots__ = ("value", "op", "parents", "trainable", "needs_grad", "name", "_grad", "_backward")
+    __slots__ = ("value", "op", "parents", "trainable", "needs_grad", "name", "detached",
+                 "_grad", "_backward")
 
     def __init__(self, value: Matrix, op: str = "leaf", parents: tuple = (),
-                 backward: Callable[[Matrix], None] | None = None,
-                 trainable: bool = False, name: str = ""):
+                 backward: Callable[[Matrix], object] | None = None,
+                 trainable: bool = False, name: str = "", detached: bool = False):
         self.needs_grad = trainable or any(p.needs_grad for p in parents)
         if not self.needs_grad:
             parents, backward = (), None
@@ -60,6 +126,7 @@ class Node:
         self.parents = parents
         self.trainable = trainable
         self.name = name
+        self.detached = detached
         self._grad = None
         self._backward = backward
 
@@ -228,9 +295,18 @@ def concat_cols(a: Node, b: Node) -> Node:
 
 
 def logistic(x: Matrix) -> Matrix:
-    """The logistic function 1 / (1 + exp(-x)), computed without overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """The logistic function 1 / (1 + exp(-x)), computed without overflow.
+
+    This is ``where(x >= 0, 1, e) / (1 + e)`` with ``e = exp(-|x|)``, bit for
+    bit: ``e`` lies in [0, 1] and a NaN propagates through the maximum.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    e /= denominator
+    return e
 
 
 def sigmoid(a: Node) -> Node:
@@ -398,6 +474,13 @@ def backward(loss: Node) -> None:
     gradient, its rule and its parents, so each intermediate value is freed
     once no pending rule reads it.  Parameters keep their gradients.  A
     second backward over a released graph raises ``RuntimeError``.
+
+    When another detached rule is still to come, a detached rule goes to
+    the worker thread and the caller keeps firing rules; a second detached
+    rule runs on the caller meanwhile.  Their contributions wait.  Before a
+    rule that is a parent of a waiting node, or that writes to one, they are
+    added in firing order, so every gradient is summed exactly as in the
+    sequential walk.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(f"backward: loss must be 1x1, got shape {loss.value.shape}")
@@ -405,13 +488,43 @@ def backward(loss: Node) -> None:
         return
     order = _topo_order(loss)
     loss.accumulate_grad(np.ones((1, 1)))
-    while order:
-        node = order.pop()
-        if node.trainable:
-            continue
-        node._backward(node.grad)
-        node._grad = node._backward = None
-        node.parents = ()
+    # the worker takes a detached rule only while another one is still to come
+    detached_left = sum(node.detached for node in order)
+    waiting: list[Future] = []  # detached rules' contributions, in firing order
+    targets: set[int] = set()   # ids of the nodes they go to
+    try:
+        while order:
+            node = order.pop()
+            if node.trainable:
+                continue
+            if waiting and (id(node) in targets or not node.detached
+                            and any(id(p) in targets for p in node.parents)):
+                _add_waiting(waiting)
+                targets.clear()
+            if node.detached:
+                detached_left -= 1
+                if _WORKER is not None and not waiting and detached_left:
+                    waiting.append(_WORKER.submit(node._backward, node.grad))
+                else:
+                    done = Future()
+                    done.set_result(node._backward(node.grad))
+                    waiting.append(done)
+                targets.update(id(p) for p in node.parents)
+            else:
+                node._backward(node.grad)
+            node._grad = node._backward = None
+            node.parents = ()
+        _add_waiting(waiting)
+    finally:
+        # after a failure, let the worker finish before the error propagates
+        wait(waiting)
+
+
+def _add_waiting(waiting: list[Future]) -> None:
+    """Add the contributions of waiting detached rules, oldest first."""
+    while waiting:
+        for parent, g in waiting.pop(0).result():
+            parent.accumulate_owned(g)
 
 
 class ParameterStore:

@@ -12,6 +12,13 @@ the sigmoid of the community embedding's dot product with the evolved
 attribute state plus the autoregressive sales forecast, whose lag weights
 every pair shares (the LSTNet highway term).
 
+The two recurrent cells read the same fused inputs and not each other, so
+when BLAS leaves a CPU free (see ``autodiff``) the skip cell rolls on the
+autodiff worker thread while the caller rolls the vanilla cell, in the
+forward and in the backward (``autodiff.run_beside``,
+``autodiff.backward``).  BLAS stays at one thread, and scores, gradients
+and trained stores are byte-identical with or without the worker.
+
 Three ablations drop one component each: ``bipartite-only`` and
 ``hypergraph-only`` skip the other encoder entirely, ``gru-only`` drops the
 skip cell and reduces the combiner to its recent-state path.  Disabled
@@ -172,7 +179,9 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     Only the sales embedding covers the whole catalog, because the hypergraph
     reads every attribute; both encoders, the fusion, the recurrent cells and
     the AR term see the range's rows alone.  ``store`` maps parameter names to
-    nodes: a ``ParameterStore`` for training, constants for inference.
+    nodes: a ``ParameterStore`` for training, constants for inference.  The
+    skip cell rolls beside the vanilla cell; both are looked up in
+    ``temporal`` at call time.
     """
     if len(sample.window_months) != config.window_length:
         raise ShapeMismatchError(
@@ -217,19 +226,23 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
             x = ad.add(x, part)
         inputs.append(x)
 
-    recent_states = tp.gru_rollout(inputs, _gru_weights(store, "gru"))
-    recent = recent_states[-1]
+    gru_weights = _gru_weights(store, "gru")
     history: list[Node | None] = []
     skip_weights: list[Node] = []
     # at p = 1 the combiner reads no skip state, so the skip cell is not rolled
     if config.ablation != "gru-only" and config.p >= 2:
-        skip_states = tp.skip_gru_rollout(inputs, _gru_weights(store, "skipgru"), config.p)
+        skip_gru_weights = _gru_weights(store, "skipgru")
+        recent_states, skip_states = ad.run_beside(
+            lambda: tp.gru_rollout(inputs, gru_weights),
+            lambda: tp.skip_gru_rollout(inputs, skip_gru_weights, config.p))
         last = len(inputs) - 1
         history = [skip_states[last - i] if last - i >= 0 else None
                    for i in range(1, config.p)]
         skip_weights = [store[f"combine_skip_{i}"] for i in range(1, config.p)]
-    evolved = tp.combine_recurrent(recent, history, store["combine_recent"], skip_weights,
-                                   store["combine_bias"])
+    else:
+        recent_states = tp.gru_rollout(inputs, gru_weights)
+    evolved = tp.combine_recurrent(recent_states[-1], history, store["combine_recent"],
+                                   skip_weights, store["combine_bias"])
 
     history_nodes = [ad.constant(consts.scaled[m][:, a0:a1]) for m in sample.window_months]
     coeff_nodes = [store[f"ar_lag_{lag:02d}"] for lag in range(len(sample.window_months))]

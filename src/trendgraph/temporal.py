@@ -18,6 +18,14 @@ step: 4 sequential steps instead of 12 at p = 3.  When neither the inputs
 nor the weights need a gradient (prediction, validation), the rollout keeps
 no gate values and builds no graph.
 
+Neither cell reads the other, so ``model.forward`` rolls the skip cell on
+the autodiff worker thread while the caller rolls the vanilla one, when
+BLAS leaves a CPU free (see ``autodiff``).  The rollout node is ``detached``: its backward
+returns its contributions instead of adding them, so ``autodiff.backward``
+runs the two backward rules side by side too and still sums every gradient
+in the sequential order.  Results are byte-identical with or without the
+worker, and BLAS stays at one thread.
+
 Sales counts are log(1+x) scaled before the convolution and the AR term;
 label computation elsewhere always uses raw counts.
 """
@@ -115,6 +123,8 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     one (k * rows) x d step.  The states live in one (steps * rows) x d
     buffer; the returned per-step nodes are views of its row blocks.  When
     nothing needs a gradient, neither gate values nor a graph are kept.
+    The rollout node is detached (see ``autodiff.Node``), and its backward
+    frees each block's gate values once it has read them.
     """
     if not inputs:
         raise ValueError("a recurrent rollout needs at least one step")
@@ -171,16 +181,18 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     if not train:
         return [Node(states[block(t, 1)], op="gru_state") for t in range(steps)]
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> list[tuple[Node, np.ndarray]]:
         # g is this node's own gradient buffer; each block adds the gradient
         # of the states it read into it in place, so blocks run in reverse
         grads = {id(p): np.zeros_like(p.value) for p in weights if p.needs_grad}
+        pairs = []
 
         def add_grad(p: Node, value: np.ndarray) -> None:
             if p.needs_grad:
                 grads[id(p)] += value
 
-        for t0, k, x, h, r, z, n, q in reversed(cache):
+        while cache:  # newest block first; each block's gate values are freed once read
+            t0, k, x, h, r, z, n, q = cache.pop()
             dh = g[block(t0, k)]
             d_n = dh * (1.0 - z)
             d_n *= 1.0 - n * n
@@ -201,9 +213,9 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
                 d_x = d_r @ w.w_xr.value.T
                 d_x += d_z @ w.w_xu.value.T
                 d_x += d_n @ w.w_xc.value.T
-                for j, node in enumerate(stacked):
-                    if node.needs_grad:
-                        node.accumulate_owned(d_x[block(j, 1)])
+                pairs += [(node, d_x[block(j, 1)]) for j, node in enumerate(stacked)
+                          if node.needs_grad]
+            del d_n
             if h is not None:
                 add_grad(w.w_hr, h.T @ d_r)
                 add_grad(w.w_hu, h.T @ d_z)
@@ -213,11 +225,15 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
                 d_h += d_q @ w.w_hc.value.T
                 d_h += dh * z
                 g[block(t0 - skip, k)] += d_h
+                del d_h
+            # free this block's gradients before the next block makes its own
+            del d_r, d_z, d_q
         # keyed by identity: a node passed for two weights gets both gradients
-        for p in {id(p): p for p in weights if p.needs_grad}.values():
-            p.accumulate_owned(grads[id(p)])
+        pairs += [(p, grads[id(p)]) for p in {id(p): p for p in weights if p.needs_grad}.values()]
+        return pairs
 
-    core = Node(states, op="gru_rollout", parents=(*inputs, *weights), backward=backward)
+    core = Node(states, op="gru_rollout", parents=(*inputs, *weights), backward=backward,
+                detached=True)
 
     def state(t: int) -> Node:
         def backward(g: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 import math
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,3 +176,25 @@ def small_series(seed=0, n_communities=3, n_attributes=5, months=15, **kwargs):
 @pytest.fixture
 def tiny_series():
     return small_series(seed=0)
+
+
+class RecordingExecutor(ThreadPoolExecutor):
+    """A one-thread executor that keeps every future it hands out."""
+
+    def __init__(self):
+        super().__init__(max_workers=1, thread_name_prefix="test-worker")
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """The autodiff worker thread, installed whatever the host's CPU count."""
+    executor = RecordingExecutor()
+    monkeypatch.setattr(ad, "_WORKER", executor)
+    yield executor
+    executor.shutdown(wait=True)

@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -308,6 +310,101 @@ class TestBackwardReleasesGraph:
         assert peak - forward < 3 * size
         # what is left is the parameter's gradient
         assert after < 2 * size
+
+
+class TestLogistic:
+    def test_bit_identical_to_the_where_formula(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0]
+        rng = np.random.default_rng(8)
+        x = np.concatenate([special, rng.normal(size=493), 40.0 * rng.normal(size=500)])
+        x = x.reshape(20, 50)
+        kept = x.copy()
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        assert ad.logistic(x).tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+
+class TestWorkerGate:
+    @pytest.mark.parametrize("cpus,environ,expected", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {}, False),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "many"}, False),
+    ])
+    def test_the_worker_needs_a_cpu_that_blas_leaves_free(self, cpus, environ, expected):
+        assert ad._cpu_left_by_blas(cpus, environ) is expected
+
+
+def detached_scale(a, factor, delay=0.0, error=None):
+    """``factor * a`` as a detached node whose rule sleeps ``delay`` seconds
+    first, then raises ``ValueError(error)`` if an error is given."""
+    def backward(g):
+        time.sleep(delay)
+        if error is not None:
+            raise ValueError(error)
+        return [(a, g * factor)]
+
+    return ad.Node(a.value * factor, op="detached_scale", parents=(a,), backward=backward,
+                   detached=True)
+
+
+def failing(a, message):
+    """An ordinary node whose backward rule raises."""
+    def backward(g):
+        raise ValueError(message)
+
+    return ad.Node(a.value.copy(), op="failing", parents=(a,), backward=backward)
+
+
+class TestDetachedRules:
+    """One parameter takes four contributions; the rules fire in the order
+    ordinary (1), detached (2**53, on the worker), detached (-2**53, on the
+    caller), ordinary (0.5).  Summed in that order the gradient is 0.5; of
+    the 24 orders of the four, only this one and the one that swaps the
+    first two give 0.5."""
+
+    @staticmethod
+    def gradient(delay=0.0, error=None, last=lambda p: ad.scale(p, 0.5)):
+        store = ad.ParameterStore()
+        p = store.register("p", [[1.0]])
+        on_worker = detached_scale(p, 2.0 ** 53, delay, error)
+        loss = ad.add(ad.add(ad.add(ad.scale(p, 1.0), on_worker),
+                             detached_scale(p, -2.0 ** 53)), last(p))
+        ad.backward(loss)
+        return p.grad
+
+    def test_contributions_are_summed_in_firing_order(self, worker, monkeypatch):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [self.gradient(delay).tobytes() for delay in (0.0, 0.02) * 10]
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(worker.futures) == 20
+        monkeypatch.setattr(ad, "_WORKER", None)
+        inline = self.gradient()
+        assert inline.tolist() == [[0.5]]
+        assert threaded == [inline.tobytes()] * 20
+
+    def test_a_failure_on_the_worker_surfaces_with_its_type_and_message(self, worker):
+        with pytest.raises(ValueError, match="rule failed on the worker") as raised:
+            self.gradient(error="rule failed on the worker")
+        assert len(worker.futures) == 1 and worker.futures[0].exception() is raised.value
+        assert self.gradient().tolist() == [[0.5]]
+
+    def test_a_failure_on_the_caller_waits_for_the_worker(self, worker):
+        # the failing rule writes to another parameter, so it fires while
+        # the worker still sleeps
+        other = ad.parameter([[1.0]])
+        with pytest.raises(ValueError, match="rule failed on the caller"):
+            self.gradient(delay=0.2, last=lambda p: failing(other, "rule failed on the caller"))
+        assert len(worker.futures) == 1 and worker.futures[0].done()
+        assert self.gradient().tolist() == [[0.5]]
 
 
 class TestInvariants:

@@ -334,6 +334,63 @@ class TestAblationIsolation:
             assert self.scores_for(tiny_series, SMALL, fresh).tobytes() != base.tobytes()
 
 
+WORKER_CASES = {
+    "full": SMALL,
+    "bipartite-only": replace(SMALL, ablation="bipartite-only"),
+    "hypergraph-only": replace(SMALL, ablation="hypergraph-only"),
+    "gru-only": replace(SMALL, ablation="gru-only"),
+    "p = 1": replace(SMALL, p=1),
+}
+
+
+class TestWorkerThread:
+    """The skip cell on the worker thread against both cells on the caller."""
+
+    @staticmethod
+    def outputs(series, config):
+        """Scores, predictions, every parameter gradient and a one-epoch
+        trained store, as bytes."""
+        store = md.initialize(config, series.catalogs)
+        consts = md.build_constants(series, config)
+        sample = series.samples[series.split.train[0]]
+        scores = md.forward(series, consts, sample, store, config, attr_range=(1, 4))
+        ad.backward(md.bce_loss(scores, sample.labels[:, 1:4], sample.validity[:, 1:4]))
+        test = series.samples[series.split.test[0]]
+        trained = md.train(series, replace(config, max_epochs=1), consts=consts).store
+        return {"scores": scores.value.tobytes(),
+                "predict": md.predict(series, consts, test, store, config).scores.tobytes(),
+                **{f"grad {n}": node.grad.tobytes() for n, node in store.items()},
+                **{f"trained {n}": node.value.tobytes() for n, node in trained.items()}}
+
+    @pytest.mark.parametrize("case", WORKER_CASES)
+    def test_worker_and_inline_runs_are_byte_equal(self, tiny_series, worker, monkeypatch,
+                                                   case):
+        config = WORKER_CASES[case]
+        threaded = self.outputs(tiny_series, config)
+        submitted = len(worker.futures)
+        monkeypatch.setattr(ad, "_WORKER", None)
+        assert self.outputs(tiny_series, config) == threaded
+        # without a skip cell there is nothing to run beside the vanilla one
+        assert (submitted == 0) == (case in ("gru-only", "p = 1"))
+
+    @pytest.mark.parametrize("broken_cell,on_worker", [("skipgru", True), ("gru", False)])
+    def test_a_failed_rollout_surfaces_and_the_next_call_works(self, tiny_series, worker,
+                                                                broken_cell, on_worker):
+        store = md.initialize(SMALL, tiny_series.catalogs)
+        consts = md.build_constants(tiny_series, SMALL)
+        sample = tiny_series.samples[0]
+        good = md.forward(tiny_series, consts, sample, store, SMALL).value
+        broken = {**dict(store.items()), f"{broken_cell}_w_hc": ad.constant(np.zeros((3, 3)))}
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 3\)") as raised:
+            md.forward(tiny_series, consts, sample, broken, SMALL)
+        assert all(f.done() for f in worker.futures)
+        assert (worker.futures[-1].exception() is raised.value) == on_worker
+        again = md.forward(tiny_series, consts, sample, store, SMALL)
+        assert again.value.tobytes() == good.tobytes()
+        ad.backward(md.bce_loss(again, sample.labels, sample.validity))
+        assert all(f.done() for f in worker.futures)
+
+
 class TestAlphaEndpoints:
     def gradients(self, series, alpha):
         config = replace(SMALL, alpha=alpha)
