@@ -121,7 +121,8 @@ def _load_configs(args) -> tuple[ModelConfig, GeneratorConfig]:
     return model_config, generator_config
 
 
-def write_resolved(config, out_dir: Path, extra: dict | None = None) -> None:
+def write_resolved(config, out_dir: Path, notes: dict | None = None) -> None:
+    """``config`` as key=value lines, then ``notes`` as # comments, which a replay skips."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
     for f in dataclasses.fields(config):
@@ -129,8 +130,8 @@ def write_resolved(config, out_dir: Path, extra: dict | None = None) -> None:
         if isinstance(value, tuple):
             value = ",".join(repr(v) for v in value)
         lines.append(f"{f.name}={value}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key}={value}")
+    for key, value in (notes or {}).items():
+        lines.append(f"# {key}={value}")
     (out_dir / RESOLVED_CONFIG_NAME).write_text("\n".join(lines) + "\n",
                                                 encoding="utf-8", newline="\n")
 
@@ -172,7 +173,7 @@ def cmd_ingest(args) -> int:
         for m, k, j in np.argwhere(filtered.sales).tolist():
             fh.write(f"{filtered.first_month + m},{catalogs.communities[k]},"
                      f"{filtered_catalogs.attributes[j]},{int(filtered.sales[m, k, j])}\n")
-    write_resolved(model_config, out, extra={"min_sales": args.min_sales,
+    write_resolved(model_config, out, notes={"min_sales": args.min_sales,
                                              "kept_attributes": filtered_catalogs.n_attributes,
                                              "dropped_attributes": catalogs.n_attributes - filtered_catalogs.n_attributes})
     print(f"kept {filtered_catalogs.n_attributes} of {catalogs.n_attributes} attributes "

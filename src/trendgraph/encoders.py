@@ -41,22 +41,17 @@ def neighbor_mean_matrix(sales: np.ndarray) -> np.ndarray:
 
 
 def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Node,
-                layer_weights: list[tuple[Node, Node]]) -> Node:
-    """Bipartite attribute encoding; one (aggregation, update) weight pair per layer.
+                w_agg: Node, w_update: Node) -> Node:
+    """Bipartite attribute encoding with aggregation and update weights.
 
     ``aggregator`` is the month's ``neighbor_mean_matrix`` as a constant.
-    Each layer computes the sales-weighted mean of neighbor community
-    embeddings (times the aggregation weight), concatenates it with the
-    attribute's current representation (``attribute_features`` at the first
-    layer), applies the update weight and ReLU, and L2-normalizes rows.
+    The sales-weighted mean of neighbor community embeddings (times
+    ``w_agg``) is concatenated with ``attribute_features``; ``w_update`` and
+    ReLU map that to the encoding, whose rows are L2-normalized.
     """
-    if not layer_weights:
-        raise ValueError("sage_encode needs at least one layer")
-    x = attribute_features
-    for w_agg, w_update in layer_weights:
-        neighbor = ad.matmul(aggregator, ad.matmul(community_embed, w_agg))
-        x = ad.row_l2_normalize(ad.relu(ad.matmul(ad.concat_cols(x, neighbor), w_update)))
-    return x
+    neighbor = ad.matmul(aggregator, ad.matmul(community_embed, w_agg))
+    return ad.row_l2_normalize(ad.relu(ad.matmul(ad.concat_cols(attribute_features, neighbor),
+                                                 w_update)))
 
 
 def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,23 +78,15 @@ def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return left, right
 
 
-def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node,
-                     layer_weights: list[Node], rows: tuple[int, int] | None = None) -> Node:
-    """Hypergraph attribute encoding of the attributes in ``rows``; one mixing
-    weight per layer.
+def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node, mix: Node,
+                     rows: tuple[int, int] | None = None) -> Node:
+    """Hypergraph attribute encoding of the attributes in ``rows`` (default all).
 
     ``factors`` holds the month's ``hypergraph_operator_factors`` as
-    constants and ``attribute_features`` covers every attribute.  Layer i maps
-    X to relu(left @ (right @ (X @ P_i))).  Every layer but the last needs all
-    attributes, because ``right`` reads them all; the last applies only the
-    rows ``rows`` (default all) of ``left``.
+    constants and ``attribute_features`` X covers every attribute, because
+    ``right`` reads them all; the result is relu(left[rows] @ (right @ (X @ mix))).
     """
-    if not layer_weights:
-        raise ValueError("hyperconv_encode needs at least one layer")
     left, right = factors
-    last_left = left if rows is None else ad.slice_block(left, rows, (0, left.cols))
-    x = attribute_features
-    for i, mix in enumerate(layer_weights):
-        applied = last_left if i == len(layer_weights) - 1 else left
-        x = ad.relu(ad.matmul(applied, ad.matmul(right, ad.matmul(x, mix))))
-    return x
+    if rows is not None:
+        left = ad.slice_block(left, rows, (0, left.cols))
+    return ad.relu(ad.matmul(left, ad.matmul(right, ad.matmul(attribute_features, mix))))

@@ -64,8 +64,6 @@ class ModelConfig:
     k_percent: float = 50.0
     ablation: str = "full"
     seed: int = 0
-    sage_layers: int = 1
-    hyper_layers: int = 1
     bce_eps: float = 1e-7
 
     def validate(self) -> None:
@@ -76,8 +74,7 @@ class ModelConfig:
                              f"got {self.alpha_grid}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        for name in ("d", "p", "window_length", "batch_size", "patience",
-                     "sage_layers", "hyper_layers"):
+        for name in ("d", "p", "window_length", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.max_epochs < 0:
@@ -106,11 +103,10 @@ def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
 
     store = ParameterStore()
     store.register("community_embed", uniform((catalogs.n_communities, d)))
-    for i in range(config.sage_layers):
-        store.register(f"sage_agg_{i}", uniform((d, d)))
-        store.register(f"sage_update_{i}", uniform((2 * d, d)))
-    for i in range(config.hyper_layers):
-        store.register(f"hyper_mix_{i}", uniform((d, d)))
+    # one layer per encoder; the _0 suffixes keep older checkpoints loadable
+    store.register("sage_agg_0", uniform((d, d)))
+    store.register("sage_update_0", uniform((2 * d, d)))
+    store.register("hyper_mix_0", uniform((d, d)))
     store.register("sales_conv_kernel", uniform((tp.CONV_WIDTH, d)))
     store.register("sales_conv_bias", np.zeros((1, d)))
     for prefix in ("gru", "skipgru"):
@@ -199,9 +195,8 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     use_bipartite = config.ablation != "hypergraph-only"
     use_hyper = config.ablation != "bipartite-only"
     scale_both = config.ablation in ("full", "gru-only")
-    sage_layers = [(store[f"sage_agg_{i}"], store[f"sage_update_{i}"])
-                   for i in range(config.sage_layers)]
-    hyper_layers = [store[f"hyper_mix_{i}"] for i in range(config.hyper_layers)]
+    w_agg, w_update = store["sage_agg_0"], store["sage_update_0"]
+    mix = store["hyper_mix_0"]
     kernel = store["sales_conv_kernel"]
     conv_bias = store["sales_conv_bias"]
 
@@ -213,12 +208,12 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
         parts: list[Node] = []
         if use_bipartite:
             bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
-                                  batch_sales, sage_layers)
+                                  batch_sales, w_agg, w_update)
             parts.append(ad.scale(bip, 1.0 - config.alpha) if scale_both else bip)
         if use_hyper:
             hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
                                         ad.constant(consts.hyper_right[m])),
-                                       sales, hyper_layers, rows)
+                                       sales, mix, rows)
             parts.append(ad.scale(hyp, config.alpha) if scale_both else hyp)
         parts.append(batch_sales)
         x = parts[0]

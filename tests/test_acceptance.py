@@ -73,7 +73,7 @@ class TestCriterion2HypergraphOracle:
             hg = make_hypergraph(incidence)
             features = rng.normal(size=(n_a, d))
             mix = rng.normal(size=(d, d))
-            got = enc.hyperconv_encode(hg, ad.constant(features), [ad.constant(mix)]).value
+            got = enc.hyperconv_encode(hg, ad.constant(features), ad.constant(mix)).value
             want = two_stage_oracle(hg, features, mix)
             worst = max(worst, float(np.abs(got - want).max()))
         elapsed = time.perf_counter() - started

@@ -82,6 +82,24 @@ class TestIngest:
         assert len(text) > 1
         assert "min_sales=40" in (out / "config.resolved").read_text()
 
+    def test_replays_from_its_resolved_config(self, tmp_path, data_dir):
+        source = str(data_dir / "interactions.csv")
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert cli.main(["ingest", "--input", source, "--min-sales", "40",
+                         "--out", str(first)]) == 0
+        assert cli.main(["ingest", "--config", str(first / "config.resolved"), "--input", source,
+                         "--min-sales", "40", "--out", str(replay)]) == 0
+        assert (replay / "interactions.csv").read_bytes() == \
+            (first / "interactions.csv").read_bytes()
+
+    def test_its_resolved_config_trains(self, tmp_path, data_dir):
+        out = tmp_path / "ingested"
+        assert cli.main(["ingest", "--input", str(data_dir / "interactions.csv"),
+                         "--min-sales", "40", "--out", str(out)]) == 0
+        assert cli.main(["train", "--data", str(out), "--config", str(out / "config.resolved"),
+                         "--set", "max_epochs=1", "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "model.ckpt").exists()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         code = cli.main(["ingest", "--input", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path / "x")])
@@ -162,7 +180,7 @@ class TestTrain:
     def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir, capsys):
         # the others are keys that older run or data directories' config.resolved hold
         for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01",
-                     "latent_dim=8", "cluster_onsets=true"):
+                     "latent_dim=8", "cluster_onsets=true", "sage_layers=2", "hyper_layers=2"):
             code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                              "--set", item])
             assert code == 1, item

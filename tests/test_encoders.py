@@ -94,7 +94,7 @@ class TestSageEncode:
         w_agg = ad.constant(np.eye(2))
         # update weight passes only the neighbor half through
         w_update = ad.constant(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, w_agg, w_update)
         mean = np.array([3.0, 5.0])
         np.testing.assert_allclose(out.value[0], mean / np.linalg.norm(mean), atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestSageEncode:
         attributes = ad.constant([[3.0, 4.0]])
         w_agg = ad.constant(np.eye(2))
         w_update = ad.constant(np.vstack([np.eye(2), np.zeros((2, 2))]))
-        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, w_agg, w_update)
         np.testing.assert_allclose(out.value[0], [0.6, 0.8], atol=1e-12)
 
     def test_isolated_attribute_stays_zero_with_zero_weights(self):
@@ -113,7 +113,7 @@ class TestSageEncode:
         attributes = ad.constant(np.zeros((1, 3)))
         w_agg = ad.constant(np.zeros((3, 3)))
         w_update = ad.constant(np.zeros((6, 3)))
-        out = enc.sage_encode(aggregator(sales), communities, attributes, [(w_agg, w_update)])
+        out = enc.sage_encode(aggregator(sales), communities, attributes, w_agg, w_update)
         np.testing.assert_array_equal(out.value, np.zeros((1, 3)))
 
     def test_output_rows_unit_norm_or_zero(self):
@@ -123,15 +123,10 @@ class TestSageEncode:
             aggregator(sales),
             ad.constant(rng.normal(size=(2, 4))),
             ad.constant(rng.normal(size=(3, 4))),
-            [(ad.constant(rng.normal(size=(4, 4))), ad.constant(rng.normal(size=(8, 4))))])
+            ad.constant(rng.normal(size=(4, 4))), ad.constant(rng.normal(size=(8, 4))))
         norms = np.linalg.norm(out.value, axis=1)
         for n in norms:
             assert n == pytest.approx(1.0, abs=1e-12) or n == 0.0
-
-    def test_requires_a_layer(self):
-        sales = make_snapshot([[0]], 1)
-        with pytest.raises(ValueError, match="at least one layer"):
-            enc.sage_encode(aggregator(sales), ad.constant([[1.0]]), ad.constant([[1.0]]), [])
 
 
 class TestHyperconvEncode:
@@ -140,13 +135,12 @@ class TestHyperconvEncode:
         left, right = hg
         np.testing.assert_allclose(left.value @ right.value, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
         features = ad.constant([[2.0, 4.0], [6.0, 8.0]])
-        out = enc.hyperconv_encode(hg, features, [ad.constant(np.eye(2))])
+        out = enc.hyperconv_encode(hg, features, ad.constant(np.eye(2)))
         np.testing.assert_allclose(out.value, [[4.0, 6.0], [4.0, 6.0]], atol=1e-12)
 
     def test_all_zero_incidence_gives_zero_output(self):
         hg = make_hypergraph(np.zeros((3, 2)))
-        out = enc.hyperconv_encode(hg, ad.constant(np.ones((3, 4))),
-                                   [ad.constant(np.eye(4))])
+        out = enc.hyperconv_encode(hg, ad.constant(np.ones((3, 4))), ad.constant(np.eye(4)))
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
 
     def test_matches_two_stage_oracle_on_100_random_hypergraphs(self):
@@ -159,7 +153,7 @@ class TestHyperconvEncode:
             hg = make_hypergraph(incidence)
             features = rng.normal(size=(n_a, d))
             mix = rng.normal(size=(d, d))
-            got = enc.hyperconv_encode(hg, ad.constant(features), [ad.constant(mix)])
+            got = enc.hyperconv_encode(hg, ad.constant(features), ad.constant(mix))
             want = two_stage_oracle(hg, features, mix)
             np.testing.assert_allclose(got.value, want, atol=1e-10)
 
@@ -183,9 +177,9 @@ class TestEncoderProperties:
 
         def encode(sales, attr_table):
             g = enc.sage_encode(aggregator(sales), ad.constant(comm), ad.constant(attr_table),
-                                [(ad.constant(w_agg), ad.constant(w_update))])
+                                ad.constant(w_agg), ad.constant(w_update))
             h = enc.hyperconv_encode(make_hypergraph(sales.T), ad.constant(attr_table),
-                                     [ad.constant(mix)])
+                                     ad.constant(mix))
             return g.value, h.value
 
         base_g, base_h = encode(sales, attr)
@@ -205,8 +199,8 @@ class TestEncoderProperties:
         readout = rng.normal(size=(sales.shape[1], comm.shape[1]))
 
         def build():
-            g = enc.sage_encode(aggregator(sales), p_comm, p_attr, [(p_agg, p_upd)])
-            h = enc.hyperconv_encode(hg, p_attr, [p_mix])
+            g = enc.sage_encode(aggregator(sales), p_comm, p_attr, p_agg, p_upd)
+            h = enc.hyperconv_encode(hg, p_attr, p_mix)
             mixed = ad.add(g, h)
             return ad.sum_all(ad.hadamard(mixed, ad.constant(readout)))
 
@@ -221,12 +215,12 @@ class TestEncoderProperties:
         p_attr = store.register("attr", attr)
         p_mix = store.register("mix", mix)
 
-        out = enc.hyperconv_encode(hg, p_attr, [p_mix])
+        out = enc.hyperconv_encode(hg, p_attr, p_mix)
         ad.backward(ad.sum_all(out))
         np.testing.assert_array_equal(p_comm.grad, np.zeros_like(comm))
 
         store.zero_grads()
         out = enc.sage_encode(aggregator(sales), p_comm, p_attr,
-                              [(ad.constant(w_agg), ad.constant(w_update))])
+                              ad.constant(w_agg), ad.constant(w_update))
         ad.backward(ad.sum_all(out))
         assert np.abs(p_comm.grad).max() > 0

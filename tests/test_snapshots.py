@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from trendgraph import encoders as enc
 from trendgraph import snapshots as snap
 from trendgraph.errors import CsvFormatError, InsufficientHistoryError, NegativeSalesError
 
-from conftest import index_of, monthly_from_tuples
+from conftest import index_of, monthly_from_tuples, random_monthly
 
 
 def write_csv(tmp_path, rows, header="month,community,attribute,sales"):
@@ -391,6 +392,35 @@ class TestWindows:
                 w.simplefilter("ignore")
                 samples, _ = snap.build_windows(monthly, catalogs, 12)
             assert len(samples) == n_months - 12
+
+    def test_sample_labels_follow_the_rule(self):
+        """The labels that training reads equal the brute-force oracle; a
+        window whose year-back month is unobserved is invalid and unlabelled."""
+        rng = np.random.default_rng(41)
+        for case in range(6):
+            n_months = int(rng.integers(14, 21))
+            monthly, catalogs = random_monthly(
+                seed=100 + case, n_communities=int(rng.integers(1, 5)),
+                n_attributes=int(rng.integers(2, 9)), months=n_months,
+                max_sales=int(rng.integers(3, 30)))
+            shape = (catalogs.n_communities, catalogs.n_attributes)
+            for window_length in (1, 6, 12):
+                for k_percent in (10, 25, 50, 75, 100):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        samples, _ = snap.build_windows(monthly, catalogs, window_length,
+                                                        k_percent)
+                    for sample in samples:
+                        where = (n_months, window_length, k_percent, sample.target_month)
+                        want = brute_force_labels(monthly, catalogs, sample.target_month,
+                                                  k_percent)
+                        np.testing.assert_array_equal(sample.labels, want, err_msg=str(where))
+                        observed = sample.target_month - 12 >= monthly.first_month
+                        np.testing.assert_array_equal(sample.validity,
+                                                      np.full(shape, float(observed)),
+                                                      err_msg=str(where))
+                        if not observed:
+                            assert not sample.labels.any(), where
 
     def test_series_build_collects_every_month(self):
         monthly, catalogs = self.make_monthly(25)
