@@ -20,7 +20,6 @@ from .snapshots import (
     SnapshotSeries,
     TrendSample,
     build_windows,
-    compute_labels,
     filter_min_sales,
     ingest,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "UsageError",
     "auc",
     "build_windows",
-    "compute_labels",
     "evaluate_predictions",
     "filter_min_sales",
     "generate",

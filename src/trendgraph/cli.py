@@ -136,11 +136,15 @@ def write_resolved(config, out_dir: Path, notes: dict | None = None) -> None:
                                                 encoding="utf-8", newline="\n")
 
 
-def _load_series(data_dir, model_config: ModelConfig) -> tuple:
+def _load_monthly(data_dir) -> tuple:
     path = Path(data_dir) / "interactions.csv"
     if not path.exists():
         raise UsageError(f"interaction file not found: {path}")
-    catalogs, monthly = ingest(path)
+    return ingest(path)
+
+
+def _load_series(data_dir, model_config: ModelConfig) -> tuple:
+    catalogs, monthly = _load_monthly(data_dir)
     series = SnapshotSeries.build(monthly, catalogs,
                                   window_length=model_config.window_length,
                                   k_percent=model_config.k_percent)
@@ -272,14 +276,16 @@ def cmd_predict(args) -> int:
     _check_top(args)
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
-    series, _ = _load_series(args.data, model_config)
+    # one window ending at the last month; no training windows are built
+    catalogs, monthly = _load_monthly(args.data)
+    series = SnapshotSeries(catalogs=catalogs, months=tuple(monthly.months), sales=monthly.sales)
+    if len(series.months) < model_config.window_length:
+        raise DataError(f"predict needs window_length={model_config.window_length} months "
+                        f"of history, data covers only {len(series.months)}")
     store = _restore_model(args, model_config, series)
     consts = md.build_constants(series, model_config)
     last = series.last_month
     window = tuple(range(last - model_config.window_length + 1, last + 1))
-    if window[0] < series.months[0]:
-        raise DataError(f"need {model_config.window_length} months of history, "
-                        f"data covers only {len(series.months)}")
     shape = (series.catalogs.n_communities, series.catalogs.n_attributes)
     sample = md.TrendSample(window_months=window, target_month=last + 1,
                             labels=np.zeros(shape), validity=np.zeros(shape))

@@ -19,10 +19,12 @@ forward and in the backward (``autodiff.run_beside``,
 ``autodiff.backward``).  BLAS stays at one thread, and scores, gradients
 and trained stores are byte-identical with or without the worker.
 
-Three ablations drop one component each: ``bipartite-only`` and
-``hypergraph-only`` skip the other encoder entirely, ``gru-only`` drops the
-skip cell and reduces the combiner to its recent-state path.  Disabled
-parameters keep their slots so checkpoints stay interchangeable.
+The ablations are settings of the fusion weight and the skip length:
+``alpha = 0`` runs the bipartite encoder alone and ``alpha = 1`` the
+hypergraph encoder alone, because an encoder whose weight is zero is not
+run; ``p = 1`` drops the skip cell and reduces the combiner to its
+recent-state path.  Every parameter keeps its slot at any ``alpha``, so a
+checkpoint loads under any fusion weight.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from .errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from .predictions import PredictionMatrix
 from .snapshots import Catalogs, SnapshotSeries, TrendSample
 
-ABLATIONS = ("full", "bipartite-only", "hypergraph-only", "gru-only")
-
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -62,7 +62,6 @@ class ModelConfig:
     patience: int = 10
     window_length: int = 12
     k_percent: float = 50.0
-    ablation: str = "full"
     seed: int = 0
     bce_eps: float = 1e-7
 
@@ -72,8 +71,6 @@ class ModelConfig:
         if not self.alpha_grid or not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
             raise ValueError(f"alpha_grid must be a non-empty list of values in [0, 1], "
                              f"got {self.alpha_grid}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         for name in ("d", "p", "window_length", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -192,9 +189,6 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
             f"{n_attributes} attributes")
     d = config.d
     community_embed = store["community_embed"]
-    use_bipartite = config.ablation != "hypergraph-only"
-    use_hyper = config.ablation != "bipartite-only"
-    scale_both = config.ablation in ("full", "gru-only")
     w_agg, w_update = store["sage_agg_0"], store["sage_update_0"]
     mix = store["hyper_mix_0"]
     kernel = store["sales_conv_kernel"]
@@ -205,16 +199,17 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
         sales = tp.embed_sales_batch(ad.constant(consts.patches[m]),
                                      consts.positions, kernel, conv_bias)
         batch_sales = ad.slice_block(sales, rows, (0, d))
+        # (1 - alpha) * bip + alpha * hyp + sales; an encoder weighted 0 is not run
         parts: list[Node] = []
-        if use_bipartite:
+        if config.alpha < 1.0:
             bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
                                   batch_sales, w_agg, w_update)
-            parts.append(ad.scale(bip, 1.0 - config.alpha) if scale_both else bip)
-        if use_hyper:
+            parts.append(ad.scale(bip, 1.0 - config.alpha))
+        if config.alpha > 0.0:
             hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
                                         ad.constant(consts.hyper_right[m])),
                                        sales, mix, rows)
-            parts.append(ad.scale(hyp, config.alpha) if scale_both else hyp)
+            parts.append(ad.scale(hyp, config.alpha))
         parts.append(batch_sales)
         x = parts[0]
         for part in parts[1:]:
@@ -225,7 +220,7 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     history: list[Node | None] = []
     skip_weights: list[Node] = []
     # at p = 1 the combiner reads no skip state, so the skip cell is not rolled
-    if config.ablation != "gru-only" and config.p >= 2:
+    if config.p >= 2:
         skip_gru_weights = _gru_weights(store, "skipgru")
         recent_states, skip_states = ad.run_beside(
             lambda: tp.gru_rollout(inputs, gru_weights),

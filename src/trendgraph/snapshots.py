@@ -107,13 +107,6 @@ class Split:
     test: tuple[int, ...]
 
 
-@dataclass
-class LabelResult:
-    labels: np.ndarray
-    validity: np.ndarray
-    rank_lists: list[list[int]]
-
-
 def ingest(path) -> tuple[Catalogs, MonthlySales]:
     """Fill the sales tensor from an interaction CSV; duplicates add up, zero rows drop.
 
@@ -211,27 +204,6 @@ def _label_arrays(current: list[list[int]], prior: list[list[int]] | None,
     return labels, np.ones(shape)
 
 
-def compute_labels(monthly: MonthlySales, catalogs: Catalogs,
-                   target_month: int, k_percent: float = 50.0) -> LabelResult:
-    """Label each (community, attribute) pair for the target month.
-
-    A pair is positive when the attribute sits in the community's top-K%
-    sales list at the target month but was absent from that list twelve
-    months earlier.  When the year-back month is unobserved the validity
-    mask is all zeros and no labels are set.
-    """
-    shape = (catalogs.n_communities, catalogs.n_attributes)
-    now = monthly.month(target_month)
-    if now is None:
-        return LabelResult(labels=np.zeros(shape), validity=np.zeros(shape),
-                           rank_lists=[[] for _ in range(shape[0])])
-    before = monthly.month(target_month - 12)
-    current = rank_lists_for_sales(now, k_percent)
-    prior = None if before is None else rank_lists_for_sales(before, k_percent)
-    labels, validity = _label_arrays(current, prior, shape)
-    return LabelResult(labels=labels, validity=validity, rank_lists=current)
-
-
 def build_windows(monthly: MonthlySales, catalogs: Catalogs,
                   window_length: int = 12, k_percent: float = 50.0
                   ) -> tuple[list[TrendSample], Split]:
@@ -240,8 +212,13 @@ def build_windows(monthly: MonthlySales, catalogs: Catalogs,
     The last window becomes the test sample and the second-to-last the
     validation sample; everything earlier trains.  With fewer than three
     windows the allocation runs from the end backwards (test, then valid)
-    and a warning is emitted.  Labels follow ``compute_labels``, from rank
-    lists computed once per month of the sales tensor.
+    and a warning is emitted.
+
+    A pair is positive when the attribute sits in the community's top-K%
+    sales list at the target month but was absent from that list twelve
+    months earlier.  When the year-back month is unobserved the validity
+    mask is all zeros and no labels are set.  Rank lists are computed once
+    per month of the sales tensor.
     """
     first, last = monthly.first_month, monthly.last_month
     n_months = len(monthly.months)

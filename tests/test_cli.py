@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,8 @@ class TestTrain:
     def test_unknown_config_key_is_usage_error(self, tmp_path, data_dir, capsys):
         # the others are keys that older run or data directories' config.resolved hold
         for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01",
-                     "latent_dim=8", "cluster_onsets=true", "sage_layers=2", "hyper_layers=2"):
+                     "latent_dim=8", "cluster_onsets=true", "sage_layers=2", "hyper_layers=2",
+                     "ablation=gru-only"):
             code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                              "--set", item])
             assert code == 1, item
@@ -335,6 +337,40 @@ class TestPredict:
         captured = capsys.readouterr()
         assert code == 1
         assert f"--top must be at least 1, got {top}" in captured.err
+        assert "predicted" not in captured.out
+
+    @staticmethod
+    def last_months(tmp_path, data_dir, n):
+        """A data directory holding the last ``n`` months of ``data_dir``."""
+        lines = (data_dir / "interactions.csv").read_text().splitlines()
+        last = max(int(line.split(",")[0]) for line in lines[1:])
+        out = tmp_path / f"last{n}"
+        out.mkdir()
+        kept = [line for line in lines[1:] if int(line.split(",")[0]) > last - n]
+        (out / "interactions.csv").write_text("\n".join(lines[:1] + kept) + "\n")
+        return out
+
+    def test_window_length_months_are_enough(self, tmp_path, data_dir, run_dir, capsys):
+        short = self.last_months(tmp_path, data_dir, 12)
+        with warnings.catch_warnings():
+            # no training windows are built, so none can be too few
+            warnings.simplefilter("error")
+            code = cli.main(["predict", "--data", str(short),
+                             "--checkpoint", str(run_dir / "model.ckpt"), "--top", "4"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.strip().splitlines()
+        assert lines[0].startswith("predicted trending attributes for month")
+        assert len(lines) == 4
+
+    def test_fewer_months_than_window_length_is_data_error(self, tmp_path, data_dir,
+                                                           run_dir, capsys):
+        short = self.last_months(tmp_path, data_dir, 11)
+        code = cli.main(["predict", "--data", str(short),
+                         "--checkpoint", str(run_dir / "model.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "window_length=12" in captured.err and "only 11" in captured.err
         assert "predicted" not in captured.out
 
     def test_non_finite_checkpoint_is_usage_error(self, tmp_path, data_dir, run_dir, capsys):

@@ -291,26 +291,17 @@ class TestAblationIsolation:
             store[name].value += 0.37
 
     def test_hypergraph_only_ignores_bipartite_weights(self, tiny_series):
-        config = replace(SMALL, ablation="hypergraph-only")
+        config = replace(SMALL, alpha=1.0)
         store = md.initialize(config, tiny_series.catalogs)
         base = self.scores_for(tiny_series, config, store)
         self.perturb(store, ["sage_agg_0", "sage_update_0"])
         assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
 
     def test_bipartite_only_ignores_hypergraph_weights(self, tiny_series):
-        config = replace(SMALL, ablation="bipartite-only")
+        config = replace(SMALL, alpha=0.0)
         store = md.initialize(config, tiny_series.catalogs)
         base = self.scores_for(tiny_series, config, store)
         self.perturb(store, ["hyper_mix_0"])
-        assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
-
-    def test_gru_only_ignores_skip_cell_and_combiner_terms(self, tiny_series):
-        config = replace(SMALL, ablation="gru-only")
-        store = md.initialize(config, tiny_series.catalogs)
-        base = self.scores_for(tiny_series, config, store)
-        skip_names = [n for n in store.names()
-                      if n.startswith("skipgru_") or n.startswith("combine_skip_")]
-        self.perturb(store, skip_names)
         assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
 
     def test_p_one_ignores_and_skips_the_skip_cell(self, tiny_series, monkeypatch):
@@ -334,9 +325,8 @@ class TestAblationIsolation:
 
 WORKER_CASES = {
     "full": SMALL,
-    "bipartite-only": replace(SMALL, ablation="bipartite-only"),
-    "hypergraph-only": replace(SMALL, ablation="hypergraph-only"),
-    "gru-only": replace(SMALL, ablation="gru-only"),
+    "bipartite-only": replace(SMALL, alpha=0.0),
+    "hypergraph-only": replace(SMALL, alpha=1.0),
     "p = 1": replace(SMALL, p=1),
 }
 
@@ -369,7 +359,7 @@ class TestWorkerThread:
         monkeypatch.setattr(ad, "_WORKER", None)
         assert self.outputs(tiny_series, config) == threaded
         # without a skip cell there is nothing to run beside the vanilla one
-        assert (submitted == 0) == (case in ("gru-only", "p = 1"))
+        assert (submitted == 0) == (case == "p = 1")
 
     @pytest.mark.parametrize("broken_cell,on_worker", [("skipgru", True), ("gru", False)])
     def test_a_failed_rollout_surfaces_and_the_next_call_works(self, tiny_series, worker,

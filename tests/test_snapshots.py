@@ -48,6 +48,22 @@ def brute_force_labels(monthly, catalogs, target_month, k_percent):
     return labels
 
 
+def window_labels(monthly, catalogs, target_month, k_percent):
+    """Labels and validity of the training window whose target is
+    ``target_month``; all zeros when no window has that target."""
+    shape = (catalogs.n_communities, catalogs.n_attributes)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            samples, _ = snap.build_windows(monthly, catalogs, 1, k_percent)
+    except InsufficientHistoryError:
+        samples = []
+    for sample in samples:
+        if sample.target_month == target_month:
+            return sample.labels, sample.validity
+    return np.zeros(shape), np.zeros(shape)
+
+
 class TestIngest:
     def test_duplicates_are_summed(self, tmp_path):
         path = write_csv(tmp_path, ["1,c1,a1,3", "1,c1,a1,2"])
@@ -282,53 +298,57 @@ class TestLabels:
                   (13, "c1", "a4", 1), (1, "c1", "a1", 9), (1, "c1", "a3", 4),
                   (1, "c1", "a4", 1)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2", "a3", "a4"))
-        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
-        np.testing.assert_array_equal(result.labels, [[0.0, 1.0, 0.0, 0.0]])
-        assert result.rank_lists == [[0, 1]]
-        assert result.validity.all()
+        monthly = monthly_from_tuples(tuples, catalogs)
+        labels, validity = window_labels(monthly, catalogs, 13, 50)
+        np.testing.assert_array_equal(labels, [[0.0, 1.0, 0.0, 0.0]])
+        assert snap.rank_lists_for_sales(monthly.month(13), 50) == [[0, 1]]
+        assert validity.all()
 
     def test_no_sales_no_labels(self):
-        tuples = [(1, "c1", "a1", 5)]
+        tuples = [(1, "c1", "a1", 5), (14, "c1", "a1", 5)]
         catalogs = snap.Catalogs(("c1",), ("a1",))
-        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
-        # month 13 is outside the observed range: mask all zeros, no labels
-        assert not result.labels.any()
-        assert not result.validity.any()
+        labels, validity = window_labels(monthly_from_tuples(tuples, catalogs),
+                                         catalogs, 13, 50)
+        # month 13 has no sales, so its top list is empty; month 1 is observed
+        assert not labels.any()
+        assert validity.all()
 
     def test_identical_rank_lists_give_all_zero(self):
         tuples = [(1, "c1", "a1", 5), (1, "c1", "a2", 1),
                   (13, "c1", "a1", 7), (13, "c1", "a2", 2)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
-        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 13, 50)
-        assert result.validity.all()
-        assert not result.labels.any()
+        labels, validity = window_labels(monthly_from_tuples(tuples, catalogs),
+                                         catalogs, 13, 50)
+        assert validity.all()
+        assert not labels.any()
 
     def test_year_back_unobserved_sets_mask_to_zero(self):
         tuples = [(5, "c1", "a1", 5), (17, "c1", "a2", 5), (14, "c1", "a1", 1)]
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))
-        result = snap.compute_labels(monthly_from_tuples(tuples, catalogs), catalogs, 14, 50)
+        samples, _ = snap.build_windows(monthly_from_tuples(tuples, catalogs), catalogs, 1)
+        (sample,) = [s for s in samples if s.target_month == 14]
         # month 2 is before the observed range starts
-        assert not result.validity.any()
-        assert not result.labels.any()
+        assert not sample.validity.any()
+        assert not sample.labels.any()
 
     def test_positive_label_requires_positive_sales(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             monthly, catalogs = random_instance(rng)
-            result = snap.compute_labels(monthly, catalogs, 13, 50)
-            if result.validity.any():
-                assert not np.any((result.labels > 0) & (monthly.month(13) == 0))
+            labels, validity = window_labels(monthly, catalogs, 13, 50)
+            if validity.any():
+                assert not np.any((labels > 0) & (monthly.month(13) == 0))
             else:
-                assert not result.labels.any()
+                assert not labels.any()
 
     def test_matches_brute_force_oracle_on_1000_random_instances(self):
         rng = np.random.default_rng(123)
         for _ in range(1000):
             monthly, catalogs = random_instance(rng)
             k = float(rng.choice([10, 25, 50, 75, 100]))
-            got = snap.compute_labels(monthly, catalogs, 13, k)
+            labels, _ = window_labels(monthly, catalogs, 13, k)
             want = brute_force_labels(monthly, catalogs, 13, k)
-            np.testing.assert_array_equal(got.labels, want)
+            np.testing.assert_array_equal(labels, want)
 
 
 def random_instance(rng):

@@ -56,9 +56,11 @@ class TestGenerate:
         dataset = generate(quiet)
         interactions, _ = write_dataset(dataset, tmp_path)
         catalogs, monthly = snap.ingest(interactions)
-        result = snap.compute_labels(monthly, catalogs, quiet.months, 50)
-        assert result.validity.all()
-        assert result.labels.mean() < 0.15
+        samples, _ = snap.build_windows(monthly, catalogs, 12, 50)
+        last = samples[-1]
+        assert last.target_month == quiet.months
+        assert last.validity.all()
+        assert last.labels.mean() < 0.15
 
     def test_planted_onsets_are_recovered_by_the_label_rule(self, tmp_path):
         dataset = generate(GeneratorConfig())
@@ -66,13 +68,15 @@ class TestGenerate:
         catalogs, monthly = snap.ingest(interactions)
         c_idx = index_of(catalogs.communities)
         a_idx = index_of(catalogs.attributes)
+        samples, _ = snap.build_windows(monthly, catalogs, 12, 50)
+        labels_at = {s.target_month: s.labels for s in samples}
         by_month: dict[int, list] = {}
         for m, c, a in dataset.annotations:
             if m >= 13:
                 by_month.setdefault(m, []).append((c, a))
         hits = total = 0
         for month, pairs in by_month.items():
-            labels = snap.compute_labels(monthly, catalogs, month, 50).labels
+            labels = labels_at[month]
             for c, a in pairs:
                 total += 1
                 hits += labels[c_idx[c], a_idx[a]] == 1.0

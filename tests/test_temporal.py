@@ -102,7 +102,8 @@ class TestEmbedSales:
 
 
 class TestFuse:
-    """``model.forward`` feeds the GRUs (1 - alpha) * bipartite + alpha * hypergraph + sales."""
+    """``model.forward`` feeds the GRUs (1 - alpha) * bipartite + alpha * hypergraph + sales,
+    and does not run an encoder whose weight is 0."""
 
     def check(self, monkeypatch, series, alpha):
         parts = {"sage_encode": [], "hyperconv_encode": [], "embed_sales_batch": []}
@@ -122,10 +123,14 @@ class TestFuse:
                           lambda xs, w: inputs.extend(x.value for x in xs) or rollout(xs, w))
             md.forward(series, md.build_constants(series, config), series.samples[0],
                        store, config)
-        assert len(inputs) == 12 and all(len(p) == 12 for p in parts.values())
-        for x, g, h, s in zip(inputs, parts["sage_encode"], parts["hyperconv_encode"],
-                              parts["embed_sales_batch"]):
-            np.testing.assert_array_equal(x, g * (1.0 - alpha) + h * alpha + s)
+        weights = {"sage_encode": 1.0 - alpha, "hyperconv_encode": alpha}
+        run = [name for name, weight in weights.items() if weight > 0]
+        assert len(inputs) == 12 and len(parts["embed_sales_batch"]) == 12
+        assert all(len(parts[name]) == (12 if name in run else 0) for name in weights)
+        for month, x in enumerate(inputs):
+            terms = ([parts[name][month] * weights[name] for name in run]
+                     + [parts["embed_sales_batch"][month]])
+            np.testing.assert_array_equal(x, sum(terms[1:], terms[0]))
 
     def test_alpha_endpoints(self, monkeypatch, tiny_series):
         self.check(monkeypatch, tiny_series, 0.0)
