@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -20,7 +21,7 @@ from . import model as md
 from .errors import DataError, NumericalError, UsageError
 from .evaluate import community_aucs, evaluate_predictions, macro_average, mom_baseline
 from .model import ModelConfig
-from .snapshots import SnapshotSeries, filter_min_sales, ingest
+from .snapshots import CSV_HEADER, SnapshotSeries, filter_min_sales, ingest
 from .synthetic import GeneratorConfig, generate, write_dataset
 
 RESOLVED_CONFIG_NAME = "config.resolved"
@@ -172,11 +173,13 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "interactions.csv"
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("month,community,attribute,sales\n")
-        for m, k, j in np.argwhere(filtered.sales).tolist():
-            fh.write(f"{filtered.first_month + m},{catalogs.communities[k]},"
-                     f"{filtered_catalogs.attributes[j]},{int(filtered.sales[m, k, j])}\n")
+    with open(target, "w", encoding="utf-8", newline="") as fh:
+        # csv quoting keeps an id with a comma, quote or line break one field
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows((filtered.first_month + m, catalogs.communities[k],
+                          filtered_catalogs.attributes[j], int(filtered.sales[m, k, j]))
+                         for m, k, j in np.argwhere(filtered.sales).tolist())
     write_resolved(model_config, out, notes={"min_sales": args.min_sales,
                                              "kept_attributes": filtered_catalogs.n_attributes,
                                              "dropped_attributes": catalogs.n_attributes - filtered_catalogs.n_attributes})

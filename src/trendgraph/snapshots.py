@@ -110,8 +110,17 @@ class Split:
 def ingest(path) -> tuple[Catalogs, MonthlySales]:
     """Fill the sales tensor from an interaction CSV; duplicates add up, zero rows drop.
 
-    Catalogs keep first-appearance order (among rows with positive sales).
+    Catalogs keep first-appearance order (among rows with positive sales).  A
+    file in the canonical form that ``generate`` and ``ingest`` write is parsed
+    with numpy; every other file goes through the csv row loop, which alone
+    reports errors.  Both give the same catalogs and the same tensor.
     """
+    return _ingest_canonical(path) or _ingest_rows(path)
+
+
+def _ingest_rows(path) -> tuple[Catalogs, MonthlySales]:
+    """The csv.reader row loop: reads every valid file and names the line of
+    every error."""
     community_ids: dict[str, int] = {}
     attribute_ids: dict[str, int] = {}
     months: list[int] = []
@@ -154,6 +163,129 @@ def ingest(path) -> tuple[Catalogs, MonthlySales]:
     catalogs = Catalogs(tuple(community_ids), tuple(attribute_ids))
     return catalogs, MonthlySales.from_cells(catalogs, months, communities, attributes,
                                              sales_column)
+
+
+# The canonical form: this exact header line, then rows <digits>,<id>,<id>,<digits>
+# each ending in LF (the last LF optional).  On such rows csv.reader, str.strip
+# and int() change nothing, so a numpy parse gives the row loop's result.
+_CANONICAL_HEADER = (",".join(CSV_HEADER) + "\n").encode()
+_MAX_DIGITS = 18                # 10**18 - 1 < 2**63
+_MAX_ID_BYTES = 64              # bounds the fixed-width keys of a block
+_BLOCK_BYTES = 1 << 18          # rows are parsed a block at a time to bound temporaries
+# bytes a canonical id neither starts nor ends with: what str.strip removes
+# among ASCII, and every non-ASCII byte
+_BAD_ID_EDGE = np.array([b >= 128 or chr(b).isspace() for b in range(256)])
+
+
+def _ingest_canonical(path) -> tuple[Catalogs, MonthlySales] | None:
+    """Parse a canonical interaction file with numpy; None for any other file.
+
+    Beyond the row shape: 1 to 18 ASCII digits per number, month >= 1, and ids
+    of 1 to 64 bytes that are valid UTF-8, hold no '"', CR or NUL, and have no
+    whitespace or non-ASCII byte at either end.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_CANONICAL_HEADER) or any(
+            c in data for c in (b'"', b"\r", b"\0")):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n_rows = data.count(b"\n", len(_CANONICAL_HEADER)) + (not data.endswith(b"\n"))
+    months = np.empty(n_rows, dtype=np.intp)
+    communities = np.empty(n_rows, dtype=np.intp)
+    attributes = np.empty(n_rows, dtype=np.intp)
+    sales = np.empty(n_rows)
+    community_ids: dict[bytes, int] = {}
+    attribute_ids: dict[bytes, int] = {}
+    kept = 0
+    lo = len(_CANONICAL_HEADER)
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _BLOCK_BYTES) + 1 or len(data)
+        block = _parse_block(buf[lo:hi])
+        if block is None:
+            return None
+        block_months, community_keys, attribute_keys, block_sales = block
+        done = kept + block_months.size
+        months[kept:done] = block_months
+        communities[kept:done] = _number(community_keys, community_ids)
+        attributes[kept:done] = _number(attribute_keys, attribute_ids)
+        sales[kept:done] = block_sales
+        kept, lo = done, hi
+    del buf, data       # free the file's bytes before the tensor is filled
+    catalogs = Catalogs(tuple(k.decode("utf-8") for k in community_ids),
+                        tuple(k.decode("utf-8") for k in attribute_ids))
+    return catalogs, MonthlySales.from_cells(catalogs, months[:kept], communities[:kept],
+                                             attributes[:kept], sales[:kept])
+
+
+def _parse_block(seg: np.ndarray):
+    """Months, community keys, attribute keys and sales of the rows with
+    positive sales in ``seg``, a run of whole rows; None if a row is not canonical."""
+    ends = np.flatnonzero(seg == ord("\n"))
+    if seg[-1] != ord("\n"):
+        ends = np.append(ends, seg.size)
+    commas = np.flatnonzero(seg == ord(","))
+    if commas.size != 3 * ends.size:
+        return None
+    # of 3n commas in all, the i-th three are row i's own when they lie between
+    # its start and its end, which the non-empty month and sales fields check
+    c0, c1, c2 = commas.reshape(-1, 3).T
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    months = _digits(seg, starts, c0)
+    sales = _digits(seg, c2 + 1, ends)
+    if months is None or sales is None or not months.all():
+        return None
+    for widths in (c1 - c0 - 1, c2 - c1 - 1):
+        if widths.min() < 1 or widths.max() > _MAX_ID_BYTES:
+            return None
+    if _BAD_ID_EDGE[seg[np.concatenate((c0 + 1, c1 - 1, c1 + 1, c2 - 1))]].any():
+        return None
+    sold = sales > 0
+    c0, c1, c2 = c0[sold], c1[sold], c2[sold]
+    return months[sold], _keys(seg, c0 + 1, c1), _keys(seg, c1 + 1, c2), sales[sold]
+
+
+def _digits(seg: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``seg[first:stop]``, built a digit column at a time
+    from the right; None unless each field is 1 to 18 ASCII digits."""
+    widths = stop - first
+    if widths.min() < 1 or widths.max() > _MAX_DIGITS:
+        return None
+    values = np.zeros(widths.size, dtype=np.int64)
+    for k in range(int(widths.max())):
+        # uint8 arithmetic wraps a byte below '0' past 9
+        digit = np.where(widths > k, seg[np.maximum(stop - 1 - k, first)] - ord("0"), 0)
+        if digit.max() > 9:
+            return None
+        values += digit.astype(np.int64) * 10 ** k
+    return values
+
+
+def _keys(seg: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The fields ``seg[first:stop]`` as NUL-padded byte strings of one width, a
+    multiple of 8; at width 8 they are viewed as uint64, which sorts faster."""
+    widths = stop - first
+    width = int(widths.max(initial=1))
+    keys = np.zeros((widths.size, -(-width // 8) * 8), dtype=np.uint8)
+    for k in range(width):
+        keys[:, k] = np.where(widths > k, seg[np.minimum(first + k, stop)], 0)
+    return keys.view(np.uint64 if keys.shape[1] == 8 else f"S{keys.shape[1]}").ravel()
+
+
+def _number(keys: np.ndarray, ids: dict[bytes, int]) -> np.ndarray:
+    """Each key's index in ``ids``; keys not seen yet join it in first-appearance order."""
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # bytes without the NUL padding; ids hold no NUL
+    names = unique.view(f"S{unique.itemsize}").tolist()
+    index = np.empty(unique.size, dtype=np.intp)
+    for u in np.argsort(first).tolist():
+        index[u] = ids.setdefault(names[u], len(ids))
+    return index[inverse]
 
 
 def filter_min_sales(monthly: MonthlySales, catalogs: Catalogs,

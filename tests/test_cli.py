@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendgraph import cli
+from trendgraph import cli, snapshots
 from trendgraph.autodiff import ParameterStore
 
 TINY = [
@@ -140,6 +140,27 @@ class TestIngest:
             b"3,c1,a1,45\n")
         resolved = (out / "config.resolved").read_text()
         assert "kept_attributes=2" in resolved and "dropped_attributes=1" in resolved
+
+    def test_ids_that_need_quoting_survive_a_second_ingest(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text('month,community,attribute,sales\n'
+                       '1,c1,"a,b",5\n'
+                       '1,"say ""hi""",plain,3\n'
+                       '2,c1,"a,b",7\n')
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["ingest", "--input", str(raw), "--min-sales", "0",
+                         "--out", str(first)]) == 0
+        assert cli.main(["ingest", "--input", str(first / "interactions.csv"),
+                         "--min-sales", "0", "--out", str(second)]) == 0
+        catalogs, monthly = snapshots.ingest(raw)
+        assert catalogs.communities == ("c1", 'say "hi"')
+        assert catalogs.attributes == ("a,b", "plain")
+        for out in (first, second):
+            again_catalogs, again = snapshots.ingest(out / "interactions.csv")
+            assert again_catalogs == catalogs
+            assert again.sales.tobytes() == monthly.sales.tobytes()
+        assert (second / "interactions.csv").read_bytes() == \
+            (first / "interactions.csv").read_bytes()
 
     def test_header_only_input_writes_a_header_only_file(self, tmp_path):
         raw = tmp_path / "raw.csv"
