@@ -12,12 +12,14 @@ Gradients accumulate additively; callers zero them between optimizer steps.
 When BLAS leaves a usable CPU free (at least 2 CPUs, BLAS pinned to fewer
 threads than that), one worker thread runs beside the caller:
 ``run_beside`` runs a second independent computation on it, and
-``backward`` hands it the rule of a ``detached`` node while the caller goes
-on firing other rules.  numpy releases the interpreter lock inside matrix
-products and elementwise loops, so the two overlap.  BLAS stays at the
-thread count the process set: 1 for the recorded scores and timings.
-Every gradient is summed in the order of the sequential walk, so results
-are byte-identical with and without the worker.
+``backward`` hands it the rule of a ``detached`` node whenever it is idle,
+while the caller goes on firing other rules.  ``subgraph`` packs a whole
+subgraph into one detached node, so its backward can run there too.  numpy
+releases the interpreter lock inside matrix products and elementwise loops,
+so the two overlap.  BLAS stays at the thread count the process set: 1 for
+the recorded scores and timings.  Every gradient is summed in the order of
+the sequential walk, so results are byte-identical with and without the
+worker.
 """
 
 from __future__ import annotations
@@ -378,13 +380,20 @@ def sum_all(a: Node) -> Node:
     return Node(value, op="sum", parents=(a,), backward=backward)
 
 
+# Rows of relu(x @ w + b) that affine_relu_block_mean holds as floats at once:
+# 1 MB at width 64.  On the 40-community benchmark data, blocks of 1024 or
+# 4096 rows encoded a window's months more slowly than blocks of 2048.
+AFFINE_CHUNK_ROWS = 2048
+
+
 def affine_relu_block_mean(x: Node, w: Node, b: Node, block: int) -> Node:
     """Mean over consecutive row blocks of relu(x @ w + b): (n*block) rows become n.
 
     The arithmetic is that of ``relu(add(matmul(x, w), b))`` followed by a
     block mean, operation for operation, so values and gradients equal the
-    chain's bit for bit; but one buffer holds the affine map and its ReLU in
-    place, and backward keeps only its sign as a bool ReLU mask.
+    chain's bit for bit.  The forward maps about ``AFFINE_CHUNK_ROWS`` rows
+    at a time, whole row blocks each time, in one reused float buffer, and
+    backward keeps only the ReLU's sign as a one-byte mask.
     """
     if x.cols != w.rows or b.value.shape != (1, w.cols):
         raise ShapeMismatchError(
@@ -393,14 +402,24 @@ def affine_relu_block_mean(x: Node, w: Node, b: Node, block: int) -> Node:
     if block < 1 or x.rows % block != 0:
         raise ShapeMismatchError(
             f"affine_relu_block_mean: row count {x.rows} not divisible by block {block}")
-    z = x.value @ w.value
-    z += b.value
-    np.maximum(z, 0.0, out=z)
-    value = z.reshape(x.rows // block, block, w.cols).mean(axis=1)
-    if not (x.needs_grad or w.needs_grad or b.needs_grad):
+    n, d = x.rows // block, w.cols
+    train = x.needs_grad or w.needs_grad or b.needs_grad
+    value = np.empty((n, d))
+    mask = np.empty((x.rows, d), dtype=bool) if train else None
+    step = max(1, AFFINE_CHUNK_ROWS // block)
+    buffer = np.empty((min(step, n) * block, d))
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        rows = slice(i0 * block, i1 * block)
+        z = buffer[:(i1 - i0) * block]
+        np.matmul(x.value[rows], w.value, out=z)
+        z += b.value
+        np.maximum(z, 0.0, out=z)
+        z.reshape(i1 - i0, block, d).mean(axis=1, out=value[i0:i1])
+        if train:
+            np.greater(z, 0.0, out=mask[rows])
+    if not train:
         return Node(value, op="affine_relu_block_mean")
-    # one byte per entry: the float buffer z is freed on return
-    mask = z > 0.0
 
     def backward(g: Matrix) -> None:
         gz = np.repeat(g / block, block, axis=0)
@@ -475,23 +494,29 @@ def backward(loss: Node) -> None:
     once no pending rule reads it.  Parameters keep their gradients.  A
     second backward over a released graph raises ``RuntimeError``.
 
-    When another detached rule is still to come, a detached rule goes to
-    the worker thread and the caller keeps firing rules; a second detached
-    rule runs on the caller meanwhile.  Their contributions wait.  Before a
-    rule that is a parent of a waiting node, or that writes to one, they are
-    added in firing order, so every gradient is summed exactly as in the
-    sequential walk.
+    Whenever the worker thread is idle and another detached rule is still to
+    come, a detached rule goes to the worker and the caller takes the next
+    rule meanwhile; the other detached rules run on the caller.  Their
+    contributions wait.  Before a rule that is a parent of a waiting node,
+    or that writes to one, they are added in firing order, so every gradient
+    is summed exactly as in the sequential walk.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(f"backward: loss must be 1x1, got shape {loss.value.shape}")
-    if not loss.needs_grad:
-        return
-    order = _topo_order(loss)
-    loss.accumulate_grad(np.ones((1, 1)))
+    if loss.needs_grad:
+        _propagate(loss, np.ones((1, 1)), _WORKER)
+
+
+def _propagate(root: Node, grad: Matrix, worker: ThreadPoolExecutor | None) -> None:
+    """Fire every rule below ``root``, seeded with ``grad``; detached rules
+    may run on ``worker`` (see ``backward``)."""
+    order = _topo_order(root)
+    root.accumulate_grad(grad)
     # the worker takes a detached rule only while another one is still to come
     detached_left = sum(node.detached for node in order)
     waiting: list[Future] = []  # detached rules' contributions, in firing order
     targets: set[int] = set()   # ids of the nodes they go to
+    busy: Future | None = None  # the worker's latest rule
     try:
         while order:
             node = order.pop()
@@ -503,8 +528,9 @@ def backward(loss: Node) -> None:
                 targets.clear()
             if node.detached:
                 detached_left -= 1
-                if _WORKER is not None and not waiting and detached_left:
-                    waiting.append(_WORKER.submit(node._backward, node.grad))
+                if worker is not None and detached_left and (busy is None or busy.done()):
+                    busy = worker.submit(node._backward, node.grad)
+                    waiting.append(busy)
                 else:
                     done = Future()
                     done.set_result(node._backward(node.grad))
@@ -518,6 +544,29 @@ def backward(loss: Node) -> None:
     finally:
         # after a failure, let the worker finish before the error propagates
         wait(waiting)
+
+
+def subgraph(build: Callable[..., Node], params: tuple[Node, ...]) -> Node:
+    """``build(*params)`` as one detached node whose parents are ``params``.
+
+    ``build`` runs over private leaves that share the values of ``params``,
+    so the graph it builds stays inside the node, and the node's rule may
+    run on the worker thread.  The rule walks that graph sequentially and
+    returns one ``(parameter, gradient)`` pair for each of ``params`` that
+    the graph reached.  When each parameter reaches the graph once, every
+    parameter gradient equals the sequential walk's bit for bit.  Without a
+    gradient path the result is ``build``'s own node, which keeps no graph.
+    """
+    leaves = [Node(p.value, op=p.op, trainable=p.needs_grad, name=p.name) for p in params]
+    inner = build(*leaves)
+    if not inner.needs_grad:
+        return inner
+
+    def backward(g: Matrix) -> list[tuple[Node, Matrix]]:
+        _propagate(inner, g, None)
+        return [(p, leaf._grad) for p, leaf in zip(params, leaves) if leaf._grad is not None]
+
+    return Node(inner.value, op="subgraph", parents=params, backward=backward, detached=True)
 
 
 def _add_waiting(waiting: list[Future]) -> None:

@@ -279,16 +279,17 @@ def cmd_predict(args) -> int:
     _check_top(args)
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
-    # one window ending at the last month; no training windows are built
     catalogs, monthly = _load_monthly(args.data)
-    series = SnapshotSeries(catalogs=catalogs, months=tuple(monthly.months), sales=monthly.sales)
-    if len(series.months) < model_config.window_length:
-        raise DataError(f"predict needs window_length={model_config.window_length} months "
-                        f"of history, data covers only {len(series.months)}")
+    length = model_config.window_length
+    if len(monthly.months) < length:
+        raise DataError(f"predict needs window_length={length} months "
+                        f"of history, data covers only {len(monthly.months)}")
+    # one window ending at the last month, and constants for its months alone
+    window = tuple(monthly.months[-length:])
+    series = SnapshotSeries(catalogs=catalogs, months=window, sales=monthly.sales[-length:])
     store = _restore_model(args, model_config, series)
     consts = md.build_constants(series, model_config)
     last = series.last_month
-    window = tuple(range(last - model_config.window_length + 1, last + 1))
     shape = (series.catalogs.n_communities, series.catalogs.n_attributes)
     sample = md.TrendSample(window_months=window, target_month=last + 1,
                             labels=np.zeros(shape), validity=np.zeros(shape))

@@ -12,12 +12,17 @@ the sigmoid of the community embedding's dot product with the evolved
 attribute state plus the autoregressive sales forecast, whose lag weights
 every pair shares (the LSTNet highway term).
 
-The two recurrent cells read the same fused inputs and not each other, so
-when BLAS leaves a CPU free (see ``autodiff``) the skip cell rolls on the
-autodiff worker thread while the caller rolls the vanilla cell, in the
-forward and in the backward (``autodiff.run_beside``,
-``autodiff.backward``).  BLAS stays at one thread, and scores, gradients
-and trained stores are byte-identical with or without the worker.
+Each month's fused input reads that month's graphs and six parameters
+and no other month, and the two recurrent cells read the same fused
+inputs and not each other.  So when BLAS leaves a CPU free (see
+``autodiff``), the second half of the window's months is encoded on the
+autodiff worker thread while the caller encodes the first half, and the
+skip cell rolls there while the caller rolls the vanilla cell
+(``autodiff.run_beside``).  In the backward each month is one detached
+node (``autodiff.subgraph``), so the months' backward rules and the two
+cells' run side by side too (``autodiff.backward``).  BLAS stays at one
+thread, and scores, gradients and trained stores are byte-identical with
+or without the worker.
 
 The ablations are settings of the fusion weight and the skip length:
 ``alpha = 0`` runs the bipartite encoder alone and ``alpha = 1`` the
@@ -173,8 +178,9 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     reads every attribute; both encoders, the fusion, the recurrent cells and
     the AR term see the range's rows alone.  ``store`` maps parameter names to
     nodes: a ``ParameterStore`` for training, constants for inference.  The
-    skip cell rolls beside the vanilla cell; both are looked up in
-    ``temporal`` at call time.
+    second half of the months is encoded beside the first, and the skip cell
+    rolls beside the vanilla cell; the layers are looked up in ``temporal``
+    and ``encoders`` at call time.
     """
     if len(sample.window_months) != config.window_length:
         raise ShapeMismatchError(
@@ -187,34 +193,20 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
         raise ShapeMismatchError(
             f"attr_range {attr_range} is not a non-empty range of the "
             f"{n_attributes} attributes")
-    d = config.d
     community_embed = store["community_embed"]
-    w_agg, w_update = store["sage_agg_0"], store["sage_update_0"]
-    mix = store["hyper_mix_0"]
-    kernel = store["sales_conv_kernel"]
-    conv_bias = store["sales_conv_bias"]
+    month_params = (store["sales_conv_kernel"], store["sales_conv_bias"], community_embed,
+                    store["sage_agg_0"], store["sage_update_0"], store["hyper_mix_0"])
 
-    inputs: list[Node] = []
-    for m in sample.window_months:
-        sales = tp.embed_sales_batch(ad.constant(consts.patches[m]),
-                                     consts.positions, kernel, conv_bias)
-        batch_sales = ad.slice_block(sales, rows, (0, d))
-        # (1 - alpha) * bip + alpha * hyp + sales; an encoder weighted 0 is not run
-        parts: list[Node] = []
-        if config.alpha < 1.0:
-            bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
-                                  batch_sales, w_agg, w_update)
-            parts.append(ad.scale(bip, 1.0 - config.alpha))
-        if config.alpha > 0.0:
-            hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
-                                        ad.constant(consts.hyper_right[m])),
-                                       sales, mix, rows)
-            parts.append(ad.scale(hyp, config.alpha))
-        parts.append(batch_sales)
-        x = parts[0]
-        for part in parts[1:]:
-            x = ad.add(x, part)
-        inputs.append(x)
+    def month_input(m: int) -> Node:
+        return ad.subgraph(lambda *params: _fused_input(consts, m, rows, config, *params),
+                           month_params)
+
+    # the months' inputs do not read each other: half on the caller, half beside it
+    months = sample.window_months
+    half = (len(months) + 1) // 2
+    first, second = ad.run_beside(lambda: [month_input(m) for m in months[:half]],
+                                  lambda: [month_input(m) for m in months[half:]])
+    inputs = first + second
 
     gru_weights = _gru_weights(store, "gru")
     history: list[Node | None] = []
@@ -240,6 +232,33 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
 
     affinity = ad.matmul(community_embed, ad.transpose(evolved))
     return ad.sigmoid(ad.add(affinity, forecast))
+
+
+def _fused_input(consts: GraphConstants, m: int, rows: tuple[int, int], config: ModelConfig,
+                 kernel: Node, conv_bias: Node, community_embed: Node, w_agg: Node,
+                 w_update: Node, mix: Node) -> Node:
+    """Month ``m``'s recurrent input for the attributes in ``rows``:
+    (1 - alpha) * bipartite + alpha * hypergraph + sales embedding, where an
+    encoder weighted 0 is not run."""
+    a0, a1 = rows
+    sales = tp.embed_sales_batch(ad.constant(consts.patches[m]), consts.positions,
+                                 kernel, conv_bias)
+    batch_sales = ad.slice_block(sales, rows, (0, config.d))
+    parts: list[Node] = []
+    if config.alpha < 1.0:
+        bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
+                              batch_sales, w_agg, w_update)
+        parts.append(ad.scale(bip, 1.0 - config.alpha))
+    if config.alpha > 0.0:
+        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
+                                    ad.constant(consts.hyper_right[m])),
+                                   sales, mix, rows)
+        parts.append(ad.scale(hyp, config.alpha))
+    parts.append(batch_sales)
+    x = parts[0]
+    for part in parts[1:]:
+        x = ad.add(x, part)
+    return x
 
 
 def predict(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,

@@ -128,7 +128,7 @@ def _ingest_rows(path) -> tuple[Catalogs, MonthlySales]:
     attributes: list[int] = []
     sales_column: list[int] = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is not None and [h.strip() for h in header] != CSV_HEADER:

@@ -20,11 +20,12 @@ no gate values and builds no graph.
 
 Neither cell reads the other, so ``model.forward`` rolls the skip cell on
 the autodiff worker thread while the caller rolls the vanilla one, when
-BLAS leaves a CPU free (see ``autodiff``).  The rollout node is ``detached``: its backward
-returns its contributions instead of adding them, so ``autodiff.backward``
-runs the two backward rules side by side too and still sums every gradient
-in the sequential order.  Results are byte-identical with or without the
-worker, and BLAS stays at one thread.
+BLAS leaves a CPU free (see ``autodiff``); the months' sales embeddings run
+there too, half of the window beside the other half.  The rollout node is
+``detached``: its backward returns its contributions instead of adding
+them, so ``autodiff.backward`` runs the two backward rules side by side too
+and still sums every gradient in the sequential order.  Results are
+byte-identical with or without the worker, and BLAS stays at one thread.
 
 Sales counts are log(1+x) scaled before the convolution and the AR term;
 label computation elsewhere always uses raw counts.

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -208,17 +209,17 @@ class TestAffineReluBlockMean:
     """The fused sales-convolution op against the chain it replaces."""
 
     @staticmethod
-    def run(fused, patches, positions, kernel_data, bias_data, readout):
+    def run(fused, patches, positions, kernel_data, bias_data, readout, patch_grad=False):
         store = ad.ParameterStore()
         kernel = store.register("kernel", kernel_data)
         bias = store.register("bias", bias_data)
-        x = ad.constant(patches)
+        x = store.register("patches", patches) if patch_grad else ad.constant(patches)
         if fused:
             out = ad.affine_relu_block_mean(x, kernel, bias, positions)
         else:
             out = block_row_mean(ad.relu(ad.add(ad.matmul(x, kernel), bias)), positions)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(readout))))
-        return out.value, kernel.grad, bias.grad
+        return (out.value, kernel.grad, bias.grad) + ((x.grad,) if patch_grad else ())
 
     @pytest.mark.parametrize("n_communities,positions", [(2, 1), (7, 5), (40, 38)])
     def test_bit_identical_to_the_composed_chain(self, n_communities, positions):
@@ -233,6 +234,36 @@ class TestAffineReluBlockMean:
         assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
         for got, want in zip(fused, chain):
             assert got.tobytes() == want.tobytes()
+
+    def test_row_blocks_and_their_remainder_are_bit_identical_to_the_chain(self):
+        # 300 attributes x 38 positions: 5 blocks of 53 attributes, then 35
+        rng = np.random.default_rng(300)
+        raw = rng.integers(0, 30, size=(40, 300)) * (rng.random((40, 300)) < 0.6)
+        patches, positions = tp.sales_patch_matrix(tp.scale_sales(raw.astype(float)))
+        step = ad.AFFINE_CHUNK_ROWS // positions
+        assert patches.shape[0] == 300 * 38 and 300 // step > 2 and 300 % step
+        kernel, bias = rng.normal(size=(3, 16)), rng.normal(size=(1, 16))
+        readout = rng.normal(size=(300, 16))
+        fused = self.run(True, patches, positions, kernel, bias, readout, patch_grad=True)
+        chain = self.run(False, patches, positions, kernel, bias, readout, patch_grad=True)
+        assert len(fused) == 4
+        for got, want in zip(fused, chain):
+            assert got.tobytes() == want.tobytes()
+
+    def test_forward_holds_one_row_block_of_floats(self):
+        rng = np.random.default_rng(1)
+        x = ad.constant(rng.normal(size=(300 * 38, 3)))
+        w, b = ad.constant(rng.normal(size=(3, 64))), ad.constant(rng.normal(size=(1, 64)))
+        tracemalloc.start()
+        try:
+            out = ad.affine_relu_block_mean(x, w, b, 38)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output and one buffer of at most AFFINE_CHUNK_ROWS x 64 floats,
+        # against 5.8 MB for the affine map of every row
+        buffer = ad.AFFINE_CHUNK_ROWS * 64 * 8
+        assert out.value.nbytes < peak <= out.value.nbytes + buffer + 100_000
 
     def test_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -405,6 +436,67 @@ class TestDetachedRules:
             self.gradient(delay=0.2, last=lambda p: failing(other, "rule failed on the caller"))
         assert len(worker.futures) == 1 and worker.futures[0].done()
         assert self.gradient().tolist() == [[0.5]]
+
+
+class TestSubgraph:
+    """A detached subgraph against the same graph built inline."""
+
+    @staticmethod
+    def gradients(detached):
+        store = ad.ParameterStore()
+        rng = np.random.default_rng(4)
+        a = store.register("a", rng.normal(size=(3, 4)))
+        b = store.register("b", rng.normal(size=(4, 2)))
+        unused = store.register("unused", rng.normal(size=(1, 1)))
+
+        def build(a, b, unused):
+            return ad.relu(ad.matmul(ad.sigmoid(a), b))
+
+        total = ad.sum_all(ad.matmul(a, b))
+        for scale in (1.0, -3.0, 0.1):
+            x = ad.subgraph(build, (a, b, unused)) if detached else build(a, b, unused)
+            total = ad.add(total, ad.sum_all(ad.scale(x, scale)))
+        ad.backward(total)
+        return total.value, a.grad, b.grad, unused._grad
+
+    def test_values_and_gradients_equal_the_inline_graph(self, worker):
+        threaded = self.gradients(True)
+        assert len(worker.futures) >= 1
+        inline = self.gradients(False)
+        assert threaded[3] is None and inline[3] is None
+        for got, want in zip(threaded[:3], inline[:3]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_over_constants_it_keeps_no_graph(self):
+        a, b = ad.constant(np.ones((2, 2))), ad.constant(np.eye(2))
+        out = ad.subgraph(ad.matmul, (a, b))
+        assert out.op == "matmul" and out.parents == () and not out.needs_grad
+
+
+class TestScheduler:
+    def test_the_worker_takes_a_rule_whenever_it_is_idle(self, worker, monkeypatch):
+        """Five detached rules that sleep 50 ms on the caller and not at all
+        on the worker: the worker takes more than the first, and the
+        gradient is summed in firing order."""
+        def build():
+            store = ad.ParameterStore()
+            p = store.register("p", [[1.0]])
+            total = ad.scale(p, 1.0)
+            for factor in (2.0 ** 53, 0.5, -2.0 ** 53, 0.25, 3.0):
+                def backward(g, factor=factor):
+                    if threading.current_thread() is threading.main_thread():
+                        time.sleep(0.05)
+                    return [(p, g * factor)]
+
+                total = ad.add(total, ad.Node(p.value * factor, op="detached", parents=(p,),
+                                              backward=backward, detached=True))
+            ad.backward(total)
+            return p.grad.tobytes()
+
+        threaded = build()
+        assert len(worker.futures) >= 2
+        monkeypatch.setattr(ad, "_WORKER", None)
+        assert build() == threaded
 
 
 class TestInvariants:

@@ -384,6 +384,21 @@ class TestPredict:
         assert lines[0].startswith("predicted trending attributes for month")
         assert len(lines) == 4
 
+    def test_constants_cover_the_window_alone(self, data_dir, run_dir, capsys, monkeypatch):
+        built = []
+        build = cli.md.build_constants
+
+        def recording(series, config):
+            built.append(series.months)
+            return build(series, config)
+
+        monkeypatch.setattr(cli.md, "build_constants", recording)
+        code = cli.main(["predict", "--data", str(data_dir),
+                         "--checkpoint", str(run_dir / "model.ckpt"), "--top", "4"])
+        assert code == 0
+        target = int(capsys.readouterr().out.split(":")[0].split()[-1])
+        assert built == [tuple(range(target - 12, target))]
+
     def test_fewer_months_than_window_length_is_data_error(self, tmp_path, data_dir,
                                                            run_dir, capsys):
         short = self.last_months(tmp_path, data_dir, 11)

@@ -323,26 +323,34 @@ class TestAblationIsolation:
             assert self.scores_for(tiny_series, SMALL, fresh).tobytes() != base.tobytes()
 
 
-WORKER_CASES = {
+_WORKER_CONFIGS = {
     "full": SMALL,
     "bipartite-only": replace(SMALL, alpha=0.0),
     "hypergraph-only": replace(SMALL, alpha=1.0),
     "p = 1": replace(SMALL, p=1),
+    "bipartite-only, p = 1": replace(SMALL, alpha=0.0, p=1),
+    "hypergraph-only, p = 1": replace(SMALL, alpha=1.0, p=1),
 }
+# each configuration on a batch of attributes 1-3 and on all 5
+WORKER_CASES = {**{name: (config, (1, 4)) for name, config in _WORKER_CONFIGS.items()},
+                **{f"{name}, all attributes": (config, None)
+                   for name, config in _WORKER_CONFIGS.items()}}
 
 
 class TestWorkerThread:
-    """The skip cell on the worker thread against both cells on the caller."""
+    """The window's months and the skip cell on the worker thread against
+    everything on the caller."""
 
     @staticmethod
-    def outputs(series, config):
+    def outputs(series, config, attr_range):
         """Scores, predictions, every parameter gradient and a one-epoch
         trained store, as bytes."""
         store = md.initialize(config, series.catalogs)
         consts = md.build_constants(series, config)
         sample = series.samples[series.split.train[0]]
-        scores = md.forward(series, consts, sample, store, config, attr_range=(1, 4))
-        ad.backward(md.bce_loss(scores, sample.labels[:, 1:4], sample.validity[:, 1:4]))
+        a0, a1 = attr_range or (0, series.catalogs.n_attributes)
+        scores = md.forward(series, consts, sample, store, config, attr_range=attr_range)
+        ad.backward(md.bce_loss(scores, sample.labels[:, a0:a1], sample.validity[:, a0:a1]))
         test = series.samples[series.split.test[0]]
         trained = md.train(series, replace(config, max_epochs=1), consts=consts).store
         return {"scores": scores.value.tobytes(),
@@ -353,13 +361,13 @@ class TestWorkerThread:
     @pytest.mark.parametrize("case", WORKER_CASES)
     def test_worker_and_inline_runs_are_byte_equal(self, tiny_series, worker, monkeypatch,
                                                    case):
-        config = WORKER_CASES[case]
-        threaded = self.outputs(tiny_series, config)
+        config, attr_range = WORKER_CASES[case]
+        threaded = self.outputs(tiny_series, config, attr_range)
         submitted = len(worker.futures)
         monkeypatch.setattr(ad, "_WORKER", None)
-        assert self.outputs(tiny_series, config) == threaded
-        # without a skip cell there is nothing to run beside the vanilla one
-        assert (submitted == 0) == (case == "p = 1")
+        assert self.outputs(tiny_series, config, attr_range) == threaded
+        # every forward encodes half of its months on the worker
+        assert submitted > 0
 
     @pytest.mark.parametrize("broken_cell,on_worker", [("skipgru", True), ("gru", False)])
     def test_a_failed_rollout_surfaces_and_the_next_call_works(self, tiny_series, worker,
@@ -377,6 +385,28 @@ class TestWorkerThread:
         assert again.value.tobytes() == good.tobytes()
         ad.backward(md.bce_loss(again, sample.labels, sample.validity))
         assert all(f.done() for f in worker.futures)
+
+    @pytest.mark.parametrize("month,on_worker", [(0, False), (-1, True)])
+    def test_a_failed_month_surfaces_and_the_next_call_works(self, tiny_series, worker,
+                                                             month, on_worker):
+        # the first half of the window's months is encoded on the caller,
+        # the second half on the worker
+        store = md.initialize(SMALL, tiny_series.catalogs)
+        consts = md.build_constants(tiny_series, SMALL)
+        sample = tiny_series.samples[0]
+        good = md.forward(tiny_series, consts, sample, store, SMALL).value
+        m = sample.window_months[month]
+        broken = replace(consts, patches={**consts.patches, m: consts.patches[m][:, :2]})
+        with pytest.raises(ShapeMismatchError, match="affine_relu_block_mean") as raised:
+            md.forward(tiny_series, broken, sample, store, SMALL)
+        assert all(f.done() for f in worker.futures)
+        assert (worker.futures[-1].exception() is raised.value) == on_worker
+        again = md.forward(tiny_series, consts, sample, store, SMALL)
+        assert again.value.tobytes() == good.tobytes()
+        store.zero_grads()
+        ad.backward(md.bce_loss(again, sample.labels, sample.validity))
+        assert all(f.done() for f in worker.futures)
+        assert np.abs(store["sales_conv_kernel"].grad).max() > 0
 
 
 class TestAlphaEndpoints:

@@ -199,12 +199,17 @@ class TestCanonicalParser:
         assert catalogs == snap.Catalogs(("c1", "c2"), ("a1",))
         assert monthly.sales.tolist() == [[[3.0], [0.0]], [[0.0], [4.0]]]
 
-    def test_bom_header_takes_the_row_loop_and_its_error(self, tmp_path):
+    def test_bom_header_takes_the_row_loop_and_is_read(self, tmp_path):
+        # spreadsheets' "CSV UTF-8" export starts with a byte-order mark
         path = tmp_path / "interactions.csv"
         path.write_bytes(b"\xef\xbb\xbf" + HEADER + b"1,c1,a1,3\n")
         assert snap._ingest_canonical(path) is None
-        with pytest.raises(CsvFormatError, match="line 1: unknown columns"):
-            snap.ingest(path)
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(HEADER + b"1,c1,a1,3\n")
+        catalogs, monthly = snap.ingest(path)
+        want_catalogs, want_monthly = snap.ingest(plain)
+        assert catalogs == want_catalogs == snap.Catalogs(("c1",), ("a1",))
+        assert monthly.sales.tobytes() == want_monthly.sales.tobytes()
 
     @pytest.mark.parametrize("row, error, match", [
         (b"0,c1,a1,4", CsvFormatError, "line 3: month must be >= 1"),
