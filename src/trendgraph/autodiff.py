@@ -10,24 +10,22 @@ Gradients accumulate additively; callers zero them between optimizer steps.
 ``backward`` consumes the graph it walks: only parameters keep a gradient.
 
 When BLAS leaves a usable CPU free (at least 2 CPUs, BLAS pinned to fewer
-threads than that), one worker thread runs beside the caller:
-``run_beside`` runs a second independent computation on it, and
-``backward`` hands it the rule of a ``detached`` node whenever it is idle,
-while the caller goes on firing other rules.  ``subgraph`` packs a whole
-subgraph into one detached node, so its backward can run there too.  numpy
-releases the interpreter lock inside matrix products and elementwise loops,
-so the two overlap.  BLAS stays at the thread count the process set: 1 for
-the recorded scores and timings.  Every gradient is summed in the order of
-the sequential walk, so results are byte-identical with and without the
-worker.
+threads than that), one worker thread runs beside the caller, and ``fork``
+is the one way to use it: independent parts of a graph run half on the
+caller and half on the worker, forward and backward.  numpy releases the
+interpreter lock inside matrix products and elementwise loops, so the two
+overlap.  BLAS stays at the thread count the process set: 1 for the
+recorded scores and timings.  ``backward`` itself is a sequential walk, and
+``fork`` adds its parts' gradients in part order, so results are
+byte-identical with and without the worker.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Callable, Iterator, TypeVar
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,8 +45,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _cpu_left_by_blas(cpus: int, environ) -> bool:
-    """Whether BLAS leaves one of ``cpus`` usable CPUs free.
+def blas_threads(environ) -> int | None:
+    """The BLAS thread count that ``environ`` sets, or None when it sets none.
 
     OpenBLAS runs as many threads as the first of these variables that holds
     a positive count, at most one per CPU, and one per CPU when none does.
@@ -56,8 +54,14 @@ def _cpu_left_by_blas(cpus: int, environ) -> bool:
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
-            return int(value) < cpus
-    return False
+            return int(value)
+    return None
+
+
+def _cpu_left_by_blas(cpus: int, environ) -> bool:
+    """Whether BLAS leaves one of ``cpus`` usable CPUs free."""
+    threads = blas_threads(environ)
+    return threads is not None and threads < cpus
 
 
 # A worker thread pays only on a CPU that nothing else uses: on one CPU it
@@ -68,7 +72,7 @@ _WORKER = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="trendgraph-work
            if _cpu_left_by_blas(_usable_cpus(), os.environ) else None)
 
 
-def run_beside(main: Callable[[], T], side: Callable[[], S]) -> tuple[T, S]:
+def _run_beside(main: Callable[[], T], side: Callable[[], S]) -> tuple[T, S]:
     """``(main(), side())``, with ``side`` on the worker thread while ``main``
     runs on the caller; without a worker both run on the caller.
 
@@ -107,19 +111,14 @@ class Node:
     prunes everything else.  A node that needs no gradient keeps neither its
     parents nor its backward rule, so a forward over constants builds no
     graph and frees each intermediate once nothing downstream reads it.
-
-    A ``detached`` node's rule accumulates nothing itself: it returns
-    ``(parent, gradient)`` pairs of freshly allocated arrays, which
-    ``backward`` adds in the order listed.  Such a rule may run on the worker
-    thread, so it reads only its own gradient and the values of its parents.
     """
 
-    __slots__ = ("value", "op", "parents", "trainable", "needs_grad", "name", "detached",
+    __slots__ = ("value", "op", "parents", "trainable", "needs_grad", "name",
                  "_grad", "_backward")
 
     def __init__(self, value: Matrix, op: str = "leaf", parents: tuple = (),
-                 backward: Callable[[Matrix], object] | None = None,
-                 trainable: bool = False, name: str = "", detached: bool = False):
+                 backward: Callable[[Matrix], None] | None = None,
+                 trainable: bool = False, name: str = ""):
         self.needs_grad = trainable or any(p.needs_grad for p in parents)
         if not self.needs_grad:
             parents, backward = (), None
@@ -128,7 +127,6 @@ class Node:
         self.parents = parents
         self.trainable = trainable
         self.name = name
-        self.detached = detached
         self._grad = None
         self._backward = backward
 
@@ -456,15 +454,16 @@ def masked_bce(scores: Node, labels: Matrix, mask: Matrix, eps: float = 1e-7) ->
     return Node(value, op="masked_bce", parents=(scores,), backward=backward)
 
 
-def _topo_order(root: Node) -> list[Node]:
-    """Iterative post-order over the needs-grad subgraph; root comes last.
+def _topo_order(roots: Sequence[Node]) -> list[Node]:
+    """Iterative post-order over the needs-grad subgraph below ``roots``;
+    every node comes after all of its parents.
 
     Raises ``RuntimeError`` on reaching an interior node whose rule an
     earlier ``backward`` has already fired and released.
     """
     order: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False) for root in roots]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -492,88 +491,83 @@ def backward(loss: Node) -> None:
     once, then releases: in reverse topological order, the node drops its
     gradient, its rule and its parents, so each intermediate value is freed
     once no pending rule reads it.  Parameters keep their gradients.  A
-    second backward over a released graph raises ``RuntimeError``.
-
-    Whenever the worker thread is idle and another detached rule is still to
-    come, a detached rule goes to the worker and the caller takes the next
-    rule meanwhile; the other detached rules run on the caller.  Their
-    contributions wait.  Before a rule that is a parent of a waiting node,
-    or that writes to one, they are added in firing order, so every gradient
-    is summed exactly as in the sequential walk.
+    second backward over a released graph raises ``RuntimeError``.  The walk
+    is sequential; only the rule of a ``fork`` uses the worker thread.
     """
     if loss.value.shape != (1, 1):
         raise ShapeMismatchError(f"backward: loss must be 1x1, got shape {loss.value.shape}")
     if loss.needs_grad:
-        _propagate(loss, np.ones((1, 1)), _WORKER)
+        _propagate((loss,), (np.ones((1, 1)),))
 
 
-def _propagate(root: Node, grad: Matrix, worker: ThreadPoolExecutor | None) -> None:
-    """Fire every rule below ``root``, seeded with ``grad``; detached rules
-    may run on ``worker`` (see ``backward``)."""
-    order = _topo_order(root)
-    root.accumulate_grad(grad)
-    # the worker takes a detached rule only while another one is still to come
-    detached_left = sum(node.detached for node in order)
-    waiting: list[Future] = []  # detached rules' contributions, in firing order
-    targets: set[int] = set()   # ids of the nodes they go to
-    busy: Future | None = None  # the worker's latest rule
-    try:
-        while order:
-            node = order.pop()
-            if node.trainable:
-                continue
-            if waiting and (id(node) in targets or not node.detached
-                            and any(id(p) in targets for p in node.parents)):
-                _add_waiting(waiting)
-                targets.clear()
-            if node.detached:
-                detached_left -= 1
-                if worker is not None and detached_left and (busy is None or busy.done()):
-                    busy = worker.submit(node._backward, node.grad)
-                    waiting.append(busy)
-                else:
-                    done = Future()
-                    done.set_result(node._backward(node.grad))
-                    waiting.append(done)
-                targets.update(id(p) for p in node.parents)
-            else:
-                node._backward(node.grad)
+def _propagate(roots: Sequence[Node], grads: Sequence[Matrix]) -> None:
+    """Fire every rule below ``roots``, each root seeded with its gradient."""
+    order = _topo_order(roots)
+    for root, grad in zip(roots, grads):
+        root.accumulate_grad(grad)
+    while order:
+        node = order.pop()
+        if not node.trainable:
+            node._backward(node.grad)
             node._grad = node._backward = None
             node.parents = ()
-        _add_waiting(waiting)
-    finally:
-        # after a failure, let the worker finish before the error propagates
-        wait(waiting)
 
 
-def subgraph(build: Callable[..., Node], params: tuple[Node, ...]) -> Node:
-    """``build(*params)`` as one detached node whose parents are ``params``.
+def fork(parts: Sequence[Callable[..., list[Node]]],
+         params: Sequence[Node]) -> list[list[Node]]:
+    """The outputs of independent ``parts``, built and differentiated half on
+    the caller and half on the worker thread.
 
-    ``build`` runs over private leaves that share the values of ``params``,
-    so the graph it builds stays inside the node, and the node's rule may
-    run on the worker thread.  The rule walks that graph sequentially and
-    returns one ``(parameter, gradient)`` pair for each of ``params`` that
-    the graph reached.  When each parameter reaches the graph once, every
-    parameter gradient equals the sequential walk's bit for bit.  Without a
-    gradient path the result is ``build``'s own node, which keeps no graph.
+    Each part is called with private leaves that share the values of
+    ``params`` and returns a list of nodes.  The first half of the parts
+    runs on the caller and the rest beside it (``_run_beside``).  Each output
+    that needs a gradient comes back as a handle node whose only parent is
+    one join node over ``params``.  The join's rule walks the parts' private
+    graphs with the same split, then adds each part's leaf gradients to
+    ``params`` in part order, so a parameter that several parts read sums
+    their contributions as a sequential walk of the parts in that order
+    would.  Without a gradient path the outputs are the parts' own nodes,
+    which keep no graph.
     """
-    leaves = [Node(p.value, op=p.op, trainable=p.needs_grad, name=p.name) for p in params]
-    inner = build(*leaves)
-    if not inner.needs_grad:
-        return inner
+    leaves = [[Node(p.value, op=p.op, trainable=p.needs_grad, name=p.name) for p in params]
+              for _ in parts]
+    half = (len(parts) + 1) // 2
 
-    def backward(g: Matrix) -> list[tuple[Node, Matrix]]:
-        _propagate(inner, g, None)
-        return [(p, leaf._grad) for p, leaf in zip(params, leaves) if leaf._grad is not None]
+    def build(lo: int, hi: int) -> list[list[Node]]:
+        return [parts[i](*leaves[i]) for i in range(lo, hi)]
 
-    return Node(inner.value, op="subgraph", parents=params, backward=backward, detached=True)
+    first, second = _run_beside(lambda: build(0, half), lambda: build(half, len(parts)))
+    outputs = first + second
+    if not any(out.needs_grad for outs in outputs for out in outs):
+        return outputs
+    grads: list[list[Matrix | None]] = [[None] * len(outs) for outs in outputs]
 
+    def walk(lo: int, hi: int) -> None:
+        for outs, seeds in zip(outputs[lo:hi], grads[lo:hi]):
+            reached = [(out, g) for out, g in zip(outs, seeds) if g is not None]
+            if reached:
+                _propagate(*zip(*reached))
 
-def _add_waiting(waiting: list[Future]) -> None:
-    """Add the contributions of waiting detached rules, oldest first."""
-    while waiting:
-        for parent, g in waiting.pop(0).result():
-            parent.accumulate_owned(g)
+    def join_backward(_: Matrix) -> None:
+        _run_beside(lambda: walk(0, half), lambda: walk(half, len(parts)))
+        for own in leaves:
+            for p, leaf in zip(params, own):
+                if leaf._grad is not None:
+                    p.accumulate_owned(leaf._grad)
+
+    join = Node(np.zeros((1, 1)), op="join", parents=tuple(params), backward=join_backward)
+
+    def handle(i: int, j: int, out: Node) -> Node:
+        if not out.needs_grad:
+            return out
+
+        def backward(g: Matrix) -> None:
+            grads[i][j] = g
+
+        return Node(out.value, op="fork", parents=(join,), backward=backward)
+
+    return [[handle(i, j, out) for j, out in enumerate(outs)]
+            for i, outs in enumerate(outputs)]
 
 
 class ParameterStore:
@@ -600,15 +594,6 @@ class ParameterStore:
 
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Node]]:
         return iter(self._params.items())

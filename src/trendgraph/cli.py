@@ -12,11 +12,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as md
 from .errors import DataError, NumericalError, UsageError
 from .evaluate import community_aucs, evaluate_predictions, macro_average, mom_baseline
@@ -207,7 +209,10 @@ def cmd_train(args) -> int:
 
         result = md.train(series, model_config, log_cb=on_epoch)
     result.store.save(out / CHECKPOINT_NAME)
-    write_resolved(model_config, out)
+    # the BLAS thread count changes the trained bytes, so the run records it
+    threads = ad.blas_threads(os.environ)
+    write_resolved(model_config, out,
+                   notes={"blas_threads": "unset" if threads is None else threads})
     best = "-" if result.best_validation_auc is None else f"{result.best_validation_auc:.4f}"
     print(f"saved checkpoint to {out / CHECKPOINT_NAME} (best validation AUC {best})")
     return 0

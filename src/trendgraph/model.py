@@ -14,15 +14,12 @@ every pair shares (the LSTNet highway term).
 
 Each month's fused input reads that month's graphs and six parameters
 and no other month, and the two recurrent cells read the same fused
-inputs and not each other.  So when BLAS leaves a CPU free (see
-``autodiff``), the second half of the window's months is encoded on the
-autodiff worker thread while the caller encodes the first half, and the
-skip cell rolls there while the caller rolls the vanilla cell
-(``autodiff.run_beside``).  In the backward each month is one detached
-node (``autodiff.subgraph``), so the months' backward rules and the two
-cells' run side by side too (``autodiff.backward``).  BLAS stays at one
-thread, and scores, gradients and trained stores are byte-identical with
-or without the worker.
+inputs and not each other.  So ``forward`` builds the months as the parts
+of one ``autodiff.fork`` and the two cells as the parts of another: when
+BLAS leaves a CPU free (see ``autodiff``), the second half of each runs on
+the autodiff worker thread, forward and backward, beside the first half on
+the caller.  BLAS stays at one thread, and scores, gradients and trained
+stores are byte-identical with or without the worker.
 
 The ablations are settings of the fusion weight and the skip length:
 ``alpha = 0`` runs the bipartite encoder alone and ``alpha = 1`` the
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -51,6 +48,8 @@ from .predictions import PredictionMatrix
 from .snapshots import Catalogs, SnapshotSeries, TrendSample
 
 ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+# each recurrent cell's parameters, in registration and ``GruWeights`` field order
+_GRU_NAMES = tuple(f.name for f in fields(tp.GruWeights))
 
 
 @dataclass
@@ -112,15 +111,9 @@ def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
     store.register("sales_conv_kernel", uniform((tp.CONV_WIDTH, d)))
     store.register("sales_conv_bias", np.zeros((1, d)))
     for prefix in ("gru", "skipgru"):
-        store.register(f"{prefix}_w_xr", uniform((d, d)))
-        store.register(f"{prefix}_w_hr", uniform((d, d)))
-        store.register(f"{prefix}_b_r", np.zeros((1, d)))
-        store.register(f"{prefix}_w_xu", uniform((d, d)))
-        store.register(f"{prefix}_w_hu", uniform((d, d)))
-        store.register(f"{prefix}_b_u", np.zeros((1, d)))
-        store.register(f"{prefix}_w_xc", uniform((d, d)))
-        store.register(f"{prefix}_w_hc", uniform((d, d)))
-        store.register(f"{prefix}_b_c", np.zeros((1, d)))
+        for name in _GRU_NAMES:
+            is_weight = name.startswith("w_")
+            store.register(f"{prefix}_{name}", uniform((d, d)) if is_weight else np.zeros((1, d)))
     store.register("combine_recent", uniform((d, d)))
     for i in range(1, config.p):
         store.register(f"combine_skip_{i}", uniform((d, d)))
@@ -131,11 +124,9 @@ def initialize(config: ModelConfig, catalogs: Catalogs) -> ParameterStore:
     return store
 
 
-def _gru_weights(store: ParameterStore, prefix: str) -> tp.GruWeights:
-    return tp.GruWeights(
-        w_xr=store[f"{prefix}_w_xr"], w_hr=store[f"{prefix}_w_hr"], b_r=store[f"{prefix}_b_r"],
-        w_xu=store[f"{prefix}_w_xu"], w_hu=store[f"{prefix}_w_hu"], b_u=store[f"{prefix}_b_u"],
-        w_xc=store[f"{prefix}_w_xc"], w_hc=store[f"{prefix}_w_hc"], b_c=store[f"{prefix}_b_c"])
+def _gru_params(store: ParameterStore, prefix: str) -> tuple[Node, ...]:
+    """One cell's nine parameters in ``GruWeights`` field order."""
+    return tuple(store[f"{prefix}_{name}"] for name in _GRU_NAMES)
 
 
 @dataclass
@@ -178,9 +169,8 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     reads every attribute; both encoders, the fusion, the recurrent cells and
     the AR term see the range's rows alone.  ``store`` maps parameter names to
     nodes: a ``ParameterStore`` for training, constants for inference.  The
-    second half of the months is encoded beside the first, and the skip cell
-    rolls beside the vanilla cell; the layers are looked up in ``temporal``
-    and ``encoders`` at call time.
+    months and the two cells are each one ``autodiff.fork``; the layers are
+    looked up in ``temporal`` and ``encoders`` at call time.
     """
     if len(sample.window_months) != config.window_length:
         raise ShapeMismatchError(
@@ -196,33 +186,26 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     community_embed = store["community_embed"]
     month_params = (store["sales_conv_kernel"], store["sales_conv_bias"], community_embed,
                     store["sage_agg_0"], store["sage_update_0"], store["hyper_mix_0"])
+    inputs = [x for (x,) in ad.fork(
+        [lambda *params, m=m: [_fused_input(consts, m, rows, config, *params)]
+         for m in sample.window_months], month_params)]
 
-    def month_input(m: int) -> Node:
-        return ad.subgraph(lambda *params: _fused_input(consts, m, rows, config, *params),
-                           month_params)
-
-    # the months' inputs do not read each other: half on the caller, half beside it
-    months = sample.window_months
-    half = (len(months) + 1) // 2
-    first, second = ad.run_beside(lambda: [month_input(m) for m in months[:half]],
-                                  lambda: [month_input(m) for m in months[half:]])
-    inputs = first + second
-
-    gru_weights = _gru_weights(store, "gru")
+    steps = len(inputs)
     history: list[Node | None] = []
     skip_weights: list[Node] = []
     # at p = 1 the combiner reads no skip state, so the skip cell is not rolled
     if config.p >= 2:
-        skip_gru_weights = _gru_weights(store, "skipgru")
-        recent_states, skip_states = ad.run_beside(
-            lambda: tp.gru_rollout(inputs, gru_weights),
-            lambda: tp.skip_gru_rollout(inputs, skip_gru_weights, config.p))
-        last = len(inputs) - 1
+        w = len(_GRU_NAMES)
+        recent_states, skip_states = ad.fork(
+            [lambda *v: tp.gru_rollout(list(v[:steps]), tp.GruWeights(*v[steps:-w])),
+             lambda *v: tp.skip_gru_rollout(list(v[:steps]), tp.GruWeights(*v[-w:]), config.p)],
+            (*inputs, *_gru_params(store, "gru"), *_gru_params(store, "skipgru")))
+        last = steps - 1
         history = [skip_states[last - i] if last - i >= 0 else None
                    for i in range(1, config.p)]
         skip_weights = [store[f"combine_skip_{i}"] for i in range(1, config.p)]
     else:
-        recent_states = tp.gru_rollout(inputs, gru_weights)
+        recent_states = tp.gru_rollout(inputs, tp.GruWeights(*_gru_params(store, "gru")))
     evolved = tp.combine_recurrent(recent_states[-1], history, store["combine_recent"],
                                    skip_weights, store["combine_bias"])
 

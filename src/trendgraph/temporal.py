@@ -18,14 +18,11 @@ step: 4 sequential steps instead of 12 at p = 3.  When neither the inputs
 nor the weights need a gradient (prediction, validation), the rollout keeps
 no gate values and builds no graph.
 
-Neither cell reads the other, so ``model.forward`` rolls the skip cell on
-the autodiff worker thread while the caller rolls the vanilla one, when
-BLAS leaves a CPU free (see ``autodiff``); the months' sales embeddings run
-there too, half of the window beside the other half.  The rollout node is
-``detached``: its backward returns its contributions instead of adding
-them, so ``autodiff.backward`` runs the two backward rules side by side too
-and still sums every gradient in the sequential order.  Results are
-byte-identical with or without the worker, and BLAS stays at one thread.
+Neither cell reads the other, so ``model.forward`` rolls them as two parts
+of one ``autodiff.fork``: when BLAS leaves a CPU free, the skip cell rolls
+forward and backward on the autodiff worker thread while the caller rolls
+the vanilla one.  Results are byte-identical with or without the worker,
+and BLAS stays at one thread.
 
 Sales counts are log(1+x) scaled before the convolution and the AR term;
 label computation elsewhere always uses raw counts.
@@ -124,8 +121,7 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     one (k * rows) x d step.  The states live in one (steps * rows) x d
     buffer; the returned per-step nodes are views of its row blocks.  When
     nothing needs a gradient, neither gate values nor a graph are kept.
-    The rollout node is detached (see ``autodiff.Node``), and its backward
-    frees each block's gate values once it has read them.
+    The backward frees each block's gate values once it has read them.
     """
     if not inputs:
         raise ValueError("a recurrent rollout needs at least one step")
@@ -182,11 +178,10 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     if not train:
         return [Node(states[block(t, 1)], op="gru_state") for t in range(steps)]
 
-    def backward(g: np.ndarray) -> list[tuple[Node, np.ndarray]]:
+    def backward(g: np.ndarray) -> None:
         # g is this node's own gradient buffer; each block adds the gradient
         # of the states it read into it in place, so blocks run in reverse
         grads = {id(p): np.zeros_like(p.value) for p in weights if p.needs_grad}
-        pairs = []
 
         def add_grad(p: Node, value: np.ndarray) -> None:
             if p.needs_grad:
@@ -214,8 +209,9 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
                 d_x = d_r @ w.w_xr.value.T
                 d_x += d_z @ w.w_xu.value.T
                 d_x += d_n @ w.w_xc.value.T
-                pairs += [(node, d_x[block(j, 1)]) for j, node in enumerate(stacked)
-                          if node.needs_grad]
+                for j, node in enumerate(stacked):
+                    if node.needs_grad:  # disjoint row blocks of a fresh array
+                        node.accumulate_owned(d_x[block(j, 1)])
             del d_n
             if h is not None:
                 add_grad(w.w_hr, h.T @ d_r)
@@ -230,11 +226,10 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
             # free this block's gradients before the next block makes its own
             del d_r, d_z, d_q
         # keyed by identity: a node passed for two weights gets both gradients
-        pairs += [(p, grads[id(p)]) for p in {id(p): p for p in weights if p.needs_grad}.values()]
-        return pairs
+        for p in {id(p): p for p in weights if p.needs_grad}.values():
+            p.accumulate_owned(grads[id(p)])
 
-    core = Node(states, op="gru_rollout", parents=(*inputs, *weights), backward=backward,
-                detached=True)
+    core = Node(states, op="gru_rollout", parents=(*inputs, *weights), backward=backward)
 
     def state(t: int) -> Node:
         def backward(g: np.ndarray) -> None:

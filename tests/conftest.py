@@ -142,7 +142,8 @@ def finite_difference_check(loss_builder, store, epsilon=1e-5, tolerance=1e-4,
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
-    names = list(parameter_names) if parameter_names is not None else store.names()
+    names = (list(parameter_names) if parameter_names is not None
+             else [name for name, _ in store.items()])
     store.zero_grads()
     loss = loss_builder()
     ad.backward(loss)

@@ -1,5 +1,4 @@
 import sys
-import threading
 import time
 import tracemalloc
 
@@ -371,132 +370,116 @@ class TestWorkerGate:
         assert ad._cpu_left_by_blas(cpus, environ) is expected
 
 
-def detached_scale(a, factor, delay=0.0, error=None):
-    """``factor * a`` as a detached node whose rule sleeps ``delay`` seconds
-    first, then raises ``ValueError(error)`` if an error is given."""
+def relay(a, delay=0.0, error=None):
+    """``a`` through a node whose backward rule sleeps ``delay`` seconds first,
+    then raises ``ValueError(error)`` if an error is given."""
     def backward(g):
         time.sleep(delay)
         if error is not None:
             raise ValueError(error)
-        return [(a, g * factor)]
+        a.accumulate_grad(g)
 
-    return ad.Node(a.value * factor, op="detached_scale", parents=(a,), backward=backward,
-                   detached=True)
-
-
-def failing(a, message):
-    """An ordinary node whose backward rule raises."""
-    def backward(g):
-        raise ValueError(message)
-
-    return ad.Node(a.value.copy(), op="failing", parents=(a,), backward=backward)
+    return ad.Node(a.value, op="relay", parents=(a,), backward=backward)
 
 
-class TestDetachedRules:
-    """One parameter takes four contributions; the rules fire in the order
-    ordinary (1), detached (2**53, on the worker), detached (-2**53, on the
-    caller), ordinary (0.5).  Summed in that order the gradient is 0.5; of
-    the 24 orders of the four, only this one and the one that swaps the
-    first two give 0.5."""
-
+class TestFork:
     @staticmethod
-    def gradient(delay=0.0, error=None, last=lambda p: ad.scale(p, 0.5)):
-        store = ad.ParameterStore()
-        p = store.register("p", [[1.0]])
-        on_worker = detached_scale(p, 2.0 ** 53, delay, error)
-        loss = ad.add(ad.add(ad.add(ad.scale(p, 1.0), on_worker),
-                             detached_scale(p, -2.0 ** 53)), last(p))
-        ad.backward(loss)
-        return p.grad
-
-    def test_contributions_are_summed_in_firing_order(self, worker, monkeypatch):
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = [self.gradient(delay).tobytes() for delay in (0.0, 0.02) * 10]
-        finally:
-            sys.setswitchinterval(previous)
-        assert len(worker.futures) == 20
-        monkeypatch.setattr(ad, "_WORKER", None)
-        inline = self.gradient()
-        assert inline.tolist() == [[0.5]]
-        assert threaded == [inline.tobytes()] * 20
-
-    def test_a_failure_on_the_worker_surfaces_with_its_type_and_message(self, worker):
-        with pytest.raises(ValueError, match="rule failed on the worker") as raised:
-            self.gradient(error="rule failed on the worker")
-        assert len(worker.futures) == 1 and worker.futures[0].exception() is raised.value
-        assert self.gradient().tolist() == [[0.5]]
-
-    def test_a_failure_on_the_caller_waits_for_the_worker(self, worker):
-        # the failing rule writes to another parameter, so it fires while
-        # the worker still sleeps
-        other = ad.parameter([[1.0]])
-        with pytest.raises(ValueError, match="rule failed on the caller"):
-            self.gradient(delay=0.2, last=lambda p: failing(other, "rule failed on the caller"))
-        assert len(worker.futures) == 1 and worker.futures[0].done()
-        assert self.gradient().tolist() == [[0.5]]
-
-
-class TestSubgraph:
-    """A detached subgraph against the same graph built inline."""
-
-    @staticmethod
-    def gradients(detached):
+    def graph(forked):
+        """Three parts over ``a`` and ``b`` (and an ``unused`` parameter),
+        each with two outputs that share a node, built through ``fork`` or
+        inline; the loss also reads ``a`` and ``b`` outside the parts, and
+        the third part's second output is never read."""
         store = ad.ParameterStore()
         rng = np.random.default_rng(4)
         a = store.register("a", rng.normal(size=(3, 4)))
         b = store.register("b", rng.normal(size=(4, 2)))
         unused = store.register("unused", rng.normal(size=(1, 1)))
 
-        def build(a, b, unused):
-            return ad.relu(ad.matmul(ad.sigmoid(a), b))
+        def part(a, b, unused):
+            s = ad.sigmoid(a)
+            return [ad.relu(ad.matmul(s, b)), s]
 
+        params = (a, b, unused)
+        outputs = ad.fork([part] * 3, params) if forked else [part(*params) for _ in range(3)]
         total = ad.sum_all(ad.matmul(a, b))
-        for scale in (1.0, -3.0, 0.1):
-            x = ad.subgraph(build, (a, b, unused)) if detached else build(a, b, unused)
-            total = ad.add(total, ad.sum_all(ad.scale(x, scale)))
+        for (x, s), factor in zip(outputs, (1.0, -3.0, 0.1)):
+            term = ad.sum_all(ad.scale(x, factor))
+            if factor != 0.1:
+                term = ad.add(term, ad.sum_all(ad.scale(s, factor * factor)))
+            total = ad.add(total, term)
         ad.backward(total)
-        return total.value, a.grad, b.grad, unused._grad
+        return [total.value.tobytes(), *(x.value.tobytes() for outs in outputs for x in outs),
+                a.grad.tobytes(), b.grad.tobytes(), unused._grad]
 
-    def test_values_and_gradients_equal_the_inline_graph(self, worker):
-        threaded = self.gradients(True)
-        assert len(worker.futures) >= 1
-        inline = self.gradients(False)
-        assert threaded[3] is None and inline[3] is None
-        for got, want in zip(threaded[:3], inline[:3]):
-            assert got.tobytes() == want.tobytes()
+    def test_values_and_gradients_equal_the_inline_graph(self, worker, monkeypatch):
+        inline = self.graph(False)
+        assert inline[-1] is None
+        assert self.graph(True) == inline
+        assert len(worker.futures) == 2  # the third part, forward and backward
+        monkeypatch.setattr(ad, "_WORKER", None)
+        assert self.graph(True) == inline
 
-    def test_over_constants_it_keeps_no_graph(self):
+    @staticmethod
+    def shared(factors, forked, delays=None, errors=None):
+        """d/dp of the sum of ``factor * p`` over parts, one part per factor,
+        whose backward rules sleep ``delays`` and raise ``errors``."""
+        p = ad.parameter([[1.0]])
+        delays = delays or [0.0] * len(factors)
+        errors = errors or [None] * len(factors)
+        parts = [lambda p, f=f, d=d, e=e: [relay(ad.scale(p, f), d, e)]
+                 for f, d, e in zip(factors, delays, errors)]
+        outputs = ad.fork(parts, (p,)) if forked else [part(p) for part in parts]
+        total = outputs[0][0]
+        for (x,) in outputs[1:]:
+            total = ad.add(total, x)
+        ad.backward(total)
+        return p.grad.tolist()
+
+    # summed in this order, 1 + 2**53 rounds back to 2**53, so the gradient
+    # is 0.5; in the reverse order it is 1
+    FACTORS = (1.0, 2.0 ** 53, -2.0 ** 53, 0.5)
+
+    @pytest.mark.parametrize("delays", [None, (0.0, 0.0, 0.02, 0.0), (0.02, 0.0, 0.0, 0.0)])
+    def test_a_shared_parameter_sums_the_parts_in_part_order(self, worker, monkeypatch,
+                                                              delays):
+        assert self.shared(self.FACTORS, False) == [[0.5]]
+        assert self.shared(self.FACTORS[::-1], False) == [[1.0]]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self.shared(self.FACTORS, True, delays) == [[0.5]]
+                assert self.shared(self.FACTORS[::-1], True, delays) == [[1.0]]
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(worker.futures) == 20
+        monkeypatch.setattr(ad, "_WORKER", None)
+        assert self.shared(self.FACTORS, True, delays) == [[0.5]]
+
+    def test_over_constants_it_returns_the_parts_own_nodes(self):
         a, b = ad.constant(np.ones((2, 2))), ad.constant(np.eye(2))
-        out = ad.subgraph(ad.matmul, (a, b))
+        built = []
+
+        def part(a, b):
+            built.append(ad.matmul(a, b))
+            return built
+
+        (out,), = ad.fork([part], (a, b))
+        assert out is built[0]
         assert out.op == "matmul" and out.parents == () and not out.needs_grad
 
+    def test_a_failure_on_the_worker_surfaces_with_its_type_and_message(self, worker):
+        with pytest.raises(ValueError, match="rule failed on the worker") as raised:
+            self.shared(self.FACTORS, True, errors=[None, None, None, "rule failed on the worker"])
+        assert worker.futures[-1].exception() is raised.value
+        assert self.shared(self.FACTORS, True) == [[0.5]]
 
-class TestScheduler:
-    def test_the_worker_takes_a_rule_whenever_it_is_idle(self, worker, monkeypatch):
-        """Five detached rules that sleep 50 ms on the caller and not at all
-        on the worker: the worker takes more than the first, and the
-        gradient is summed in firing order."""
-        def build():
-            store = ad.ParameterStore()
-            p = store.register("p", [[1.0]])
-            total = ad.scale(p, 1.0)
-            for factor in (2.0 ** 53, 0.5, -2.0 ** 53, 0.25, 3.0):
-                def backward(g, factor=factor):
-                    if threading.current_thread() is threading.main_thread():
-                        time.sleep(0.05)
-                    return [(p, g * factor)]
-
-                total = ad.add(total, ad.Node(p.value * factor, op="detached", parents=(p,),
-                                              backward=backward, detached=True))
-            ad.backward(total)
-            return p.grad.tobytes()
-
-        threaded = build()
-        assert len(worker.futures) >= 2
-        monkeypatch.setattr(ad, "_WORKER", None)
-        assert build() == threaded
+    def test_a_failure_on_the_caller_waits_for_the_worker(self, worker):
+        with pytest.raises(ValueError, match="rule failed on the caller"):
+            self.shared(self.FACTORS, True, delays=[0.0, 0.0, 0.2, 0.0],
+                        errors=["rule failed on the caller", None, None, None])
+        assert worker.futures[-1].done() and worker.futures[-1].exception() is None
+        assert self.shared(self.FACTORS, True) == [[0.5]]
 
 
 class TestInvariants:

@@ -179,6 +179,28 @@ class TestTrain:
         assert set(record) == {"epoch", "train_loss", "validation_auc"}
         assert (run_dir / "config.resolved").exists()
 
+    @pytest.mark.parametrize("environ, recorded", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2"),
+        ({"OMP_NUM_THREADS": "3"}, "3"),
+        ({}, "unset"),
+    ])
+    def test_records_the_blas_thread_count_and_a_replay_skips_it(
+            self, tmp_path, tiny_config, data_dir, monkeypatch, environ, recorded):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in environ.items():
+            monkeypatch.setenv(var, value)
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert cli.main(["train", "--config", tiny_config, "--set", "max_epochs=1",
+                         "--data", str(data_dir), "--out", str(first)]) == 0
+        resolved = (first / "config.resolved").read_text()
+        assert resolved.endswith(f"\n# blas_threads={recorded}\n")
+        assert cli.main(["train", "--config", str(first / "config.resolved"),
+                         "--data", str(data_dir), "--out", str(replay)]) == 0
+        assert (replay / "config.resolved").read_text() == resolved
+        assert (replay / "model.ckpt").read_bytes() == (first / "model.ckpt").read_bytes()
+
     def test_insufficient_history_is_data_error(self, tmp_path, tiny_config):
         short = tmp_path / "short"
         assert cli.main(["generate", "--config", tiny_config, "--set", "months=13",

@@ -37,9 +37,8 @@ class TestInitialize:
     def test_same_seed_gives_identical_stores(self, tiny_series):
         a = md.initialize(SMALL, tiny_series.catalogs)
         b = md.initialize(SMALL, tiny_series.catalogs)
-        assert a.names() == b.names()
-        for name in a.names():
-            assert a[name].value.tobytes() == b[name].value.tobytes()
+        assert [(n, node.value.tobytes()) for n, node in a.items()] == \
+               [(n, node.value.tobytes()) for n, node in b.items()]
 
     def test_entries_within_uniform_bound(self, tiny_series):
         config = replace(SMALL, d=64)
@@ -50,26 +49,25 @@ class TestInitialize:
     def test_different_seeds_differ(self, tiny_series):
         a = md.initialize(SMALL, tiny_series.catalogs)
         b = md.initialize(replace(SMALL, seed=4), tiny_series.catalogs)
-        assert any(not np.array_equal(a[n].value, b[n].value) for n in a.names())
+        assert any(not np.array_equal(node.value, b[n].value) for n, node in a.items())
 
     def test_biases_and_ar_coefficients_start_at_zero(self, tiny_series):
         store = md.initialize(SMALL, tiny_series.catalogs)
-        for name in store.names():
+        for name, node in store.items():
             if "bias" in name or name.startswith("ar_") or "_b_" in name:
-                assert not store[name].value.any(), name
+                assert not node.value.any(), name
 
     def test_ar_lag_count_matches_window(self, tiny_series):
         store = md.initialize(replace(SMALL, window_length=12), tiny_series.catalogs)
-        lags = [n for n in store.names() if n.startswith("ar_lag_")]
+        lags = [n for n, _ in store.items() if n.startswith("ar_lag_")]
         assert len(lags) == 12
 
     def test_no_parameter_shape_depends_on_the_attribute_catalog(self):
         communities = ("c0", "c1", "c2")
         small = md.initialize(SMALL, Catalogs(communities, tuple(f"a{j}" for j in range(5))))
         large = md.initialize(SMALL, Catalogs(communities, tuple(f"a{j}" for j in range(9))))
-        assert small.names() == large.names()
-        for name in small.names():
-            assert small[name].value.shape == large[name].value.shape, name
+        assert [(n, node.value.shape) for n, node in small.items()] == \
+               [(n, node.value.shape) for n, node in large.items()]
 
 
 class TestForward:
@@ -174,7 +172,7 @@ class TestRowRestriction:
                                           attr_range=(a0, a1)), a0, a1)
             full = md.forward(series, consts, sample, store, config)
             sliced = grads(ad.slice_block(full, (0, n_communities), (a0, a1)), a0, a1)
-            for name in store.names():
+            for name, _ in store.items():
                 np.testing.assert_allclose(restricted[name], sliced[name], rtol=0, atol=1e-12,
                                            err_msg=name)
             assert np.abs(restricted["sage_update_0"]).max() > 0
@@ -253,8 +251,8 @@ class TestTrain:
         r2 = md.train(tiny_series, SMALL)
         assert [(e.epoch, e.train_loss, e.validation_auc) for e in r1.epochs] == \
                [(e.epoch, e.train_loss, e.validation_auc) for e in r2.epochs]
-        for name in r1.store.names():
-            assert r1.store[name].value.tobytes() == r2.store[name].value.tobytes()
+        for name, node in r1.store.items():
+            assert node.value.tobytes() == r2.store[name].value.tobytes()
 
     def test_requires_training_windows(self):
         series = small_series(seed=2, months=13)  # single window -> test only
@@ -308,7 +306,7 @@ class TestAblationIsolation:
         config = replace(SMALL, p=1)
         store = md.initialize(config, tiny_series.catalogs)
         base = self.scores_for(tiny_series, config, store)
-        self.perturb(store, [n for n in store.names() if n.startswith("skipgru_")])
+        self.perturb(store, [n for n, _ in store.items() if n.startswith("skipgru_")])
         rolled = []
         monkeypatch.setattr(md.tp, "skip_gru_rollout", lambda *args: rolled.append(args))
         assert self.scores_for(tiny_series, config, store).tobytes() == base.tobytes()
