@@ -58,18 +58,20 @@ def blas_threads(environ) -> int | None:
     return None
 
 
-def _cpu_left_by_blas(cpus: int, environ) -> bool:
-    """Whether BLAS leaves one of ``cpus`` usable CPUs free."""
-    threads = blas_threads(environ)
+def _cpu_left_by_blas(cpus: int, threads: int | None) -> bool:
+    """Whether BLAS at ``threads`` threads (None: one per CPU) leaves a CPU free."""
     return threads is not None and threads < cpus
 
+
+# read once, on import: OpenBLAS fixed its thread count when numpy loaded
+BLAS_THREADS = blas_threads(os.environ)
 
 # A worker thread pays only on a CPU that nothing else uses: on one CPU it
 # adds interpreter-lock hand-offs, and next to a BLAS thread on every CPU it
 # competes with BLAS threads waiting for work.  The executor starts its
 # thread on the first submit, not on import.
 _WORKER = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="trendgraph-worker")
-           if _cpu_left_by_blas(_usable_cpus(), os.environ) else None)
+           if _cpu_left_by_blas(_usable_cpus(), BLAS_THREADS) else None)
 
 
 def _run_beside(main: Callable[[], T], side: Callable[[], S]) -> tuple[T, S]:
@@ -137,10 +139,6 @@ class Node:
     @property
     def cols(self) -> int:
         return self.value.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
 
     @property
     def grad(self) -> Matrix:

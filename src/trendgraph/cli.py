@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -156,7 +155,10 @@ def _load_series(data_dir, model_config: ModelConfig) -> tuple:
 
 def cmd_generate(args) -> int:
     _, generator_config = _load_configs(args)
-    dataset = generate(generator_config)
+    try:
+        dataset = generate(generator_config)
+    except ValueError as exc:   # rates that overflow the Poisson draw
+        raise UsageError(f"bad config: {exc}") from None
     out = Path(args.out)
     interactions, annotations = write_dataset(dataset, out)
     write_resolved(generator_config, out)
@@ -210,9 +212,8 @@ def cmd_train(args) -> int:
         result = md.train(series, model_config, log_cb=on_epoch)
     result.store.save(out / CHECKPOINT_NAME)
     # the BLAS thread count changes the trained bytes, so the run records it
-    threads = ad.blas_threads(os.environ)
-    write_resolved(model_config, out,
-                   notes={"blas_threads": "unset" if threads is None else threads})
+    threads = "unset" if ad.BLAS_THREADS is None else ad.BLAS_THREADS
+    write_resolved(model_config, out, notes={"blas_threads": threads})
     best = "-" if result.best_validation_auc is None else f"{result.best_validation_auc:.4f}"
     print(f"saved checkpoint to {out / CHECKPOINT_NAME} (best validation AUC {best})")
     return 0

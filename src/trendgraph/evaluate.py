@@ -59,7 +59,7 @@ class CommunityResult:
     auc: float | None
     positives: int
     negatives: int
-    top: list[tuple[str, float]]
+    top: list[str]
 
 
 @dataclass
@@ -73,7 +73,7 @@ class EvalReport:
         lines = [f"{'community':<16} {'auc':>9} {'pos':>6} {'neg':>6}  top tags"]
         for row in self.rows:
             shown = "undefined" if row.auc is None else f"{row.auc:.4f}"
-            tags = " ".join(t for t, _ in row.top)
+            tags = " ".join(row.top)
             lines.append(f"{row.community:<16} {shown:>9} {row.positives:>6} {row.negatives:>6}  {tags}")
         macro = "undefined" if self.macro_auc is None else f"{self.macro_auc:.4f}"
         lines.append(f"{'macro-average':<16} {macro:>9}")
@@ -87,7 +87,7 @@ class EvalReport:
                 "auc": row.auc,
                 "positives": row.positives,
                 "negatives": row.negatives,
-                "topn": ";".join(t for t, _ in row.top),
+                "topn": ";".join(row.top),
             }, sort_keys=True))
         return "\n".join(lines) + "\n"
 
@@ -138,10 +138,9 @@ def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[Tren
     top = predictions[0].top_lists(top_n)
     rows = []
     for k, community in enumerate(catalogs.communities):
-        tags = [(catalogs.attributes[j], float(predictions[0].scores[k, j])) for j in top[k]]
         rows.append(CommunityResult(community=community, auc=aucs[k],
                                     positives=positives[k], negatives=negatives[k],
-                                    top=tags))
+                                    top=[catalogs.attributes[j] for j in top[k]]))
     return EvalReport(rows=rows, macro_auc=macro_average(aucs))
 
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .snapshots import descending_order
+
 
 @dataclass
 class PredictionMatrix:
@@ -13,7 +15,7 @@ class PredictionMatrix:
 
     ``ranked_lists`` may carry explicit per-community rankings (the MOM
     baseline emits its top lists directly); otherwise rankings derive from
-    the scores, descending with ties broken by ascending attribute index.
+    the scores (see ``top_lists``).
     """
 
     scores: np.ndarray
@@ -25,14 +27,10 @@ class PredictionMatrix:
             raise ValueError("non-finite or out-of-range prediction scores; they must lie in [0, 1]")
 
     def top_lists(self, n: int) -> list[list[int]]:
-        """The first ``n`` attributes of each community's ranking; ``n`` >= 1."""
+        """The first ``n`` attributes of each community's ranking, by default its
+        scores' ``snapshots.descending_order``; ``n`` >= 1."""
         if n < 1:
             raise ValueError(f"top list length must be at least 1, got {n}")
         if self.ranked_lists is not None:
             return [lst[:n] for lst in self.ranked_lists]
-        out = []
-        n_attributes = self.scores.shape[1]
-        for row in self.scores:
-            order = np.lexsort((np.arange(n_attributes), -row))
-            out.append([int(j) for j in order[:n]])
-        return out
+        return descending_order(self.scores)[:, :n].tolist()

@@ -18,7 +18,6 @@ an attribute simply leaves it isolated.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -306,34 +305,31 @@ def filter_min_sales(monthly: MonthlySales, catalogs: Catalogs,
                                                  cells[1], cells[2], sales[cells])
 
 
-def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]:
-    """Per-community top-K% attribute lists by sales.
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Each row's column indices by descending value, ties by ascending index:
+    a stable sort of ``-values`` over the last axis, so one call ranks a matrix
+    or a months x communities x attributes tensor.  Every top list reads it."""
+    return np.argsort(-values, axis=-1, kind="stable")
 
-    Only attributes with positive sales count toward the cutoff, which is
-    ceil(K/100 * active count); ties break by ascending attribute index.
-    """
+
+def top_k_membership(sales: np.ndarray, k_percent: float) -> np.ndarray:
+    """Whether each attribute is in its row's top-K% sales list: the first
+    ceil(K/100 * active count) entries of ``descending_order``, where only
+    attributes with positive sales are active."""
     if not (0.0 < k_percent <= 100.0):
         raise ValueError(f"k_percent must be in (0, 100], got {k_percent}")
-    lists: list[list[int]] = []
-    for row in sales:
-        active = np.flatnonzero(row > 0)
-        cutoff = math.ceil(k_percent / 100.0 * active.size)
-        order = active[np.argsort(-row[active], kind="stable")]
-        lists.append(order[:cutoff].tolist())
-    return lists
+    cutoff = np.ceil(k_percent / 100.0 * np.count_nonzero(sales > 0, axis=-1))
+    member = np.zeros(sales.shape, dtype=bool)
+    np.put_along_axis(member, descending_order(sales),
+                      np.arange(sales.shape[-1]) < cutoff[..., None], axis=-1)
+    return member
 
 
-def _label_arrays(current: list[list[int]], prior: list[list[int]] | None,
-                  shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and validity from the target month's top lists and the year-back
-    ones; ``prior`` is None when the year-back month is unobserved."""
-    if prior is None:
-        return np.zeros(shape), np.zeros(shape)
-    labels = np.zeros(shape)
-    for k, (now, before) in enumerate(zip(current, prior)):
-        labels[k, now] = 1.0
-        labels[k, before] = 0.0
-    return labels, np.ones(shape)
+def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]:
+    """Per-community top-K% attribute lists, best first: each row's members
+    (``top_k_membership``) in ``descending_order``."""
+    counts = top_k_membership(sales, k_percent).sum(axis=-1).tolist()
+    return [row[:n] for row, n in zip(descending_order(sales).tolist(), counts)]
 
 
 def build_windows(monthly: MonthlySales, catalogs: Catalogs,
@@ -346,26 +342,26 @@ def build_windows(monthly: MonthlySales, catalogs: Catalogs,
     windows the allocation runs from the end backwards (test, then valid)
     and a warning is emitted.
 
-    A pair is positive when the attribute sits in the community's top-K%
-    sales list at the target month but was absent from that list twelve
-    months earlier.  When the year-back month is unobserved the validity
-    mask is all zeros and no labels are set.  Rank lists are computed once
-    per month of the sales tensor.
+    A pair is positive when the attribute is a member of the community's
+    top-K% sales list (``top_k_membership``) at the target month and not
+    twelve months earlier.  When the year-back month is unobserved the
+    validity mask is all zeros and no labels are set.  One call ranks the
+    whole sales tensor.
     """
     first, last = monthly.first_month, monthly.last_month
     n_months = len(monthly.months)
     if n_months < window_length + 1:
         raise InsufficientHistoryError(
             f"{n_months} months of data cannot form a {window_length}-month window plus target")
-    lists = [rank_lists_for_sales(month, k_percent) for month in monthly.sales]
-    shape = (catalogs.n_communities, catalogs.n_attributes)
+    member = top_k_membership(monthly.sales, k_percent)
+    entered = np.zeros_like(member)
+    entered[12:] = member[12:] & ~member[:-12]
     samples: list[TrendSample] = []
-    for start in range(first, last - window_length + 1):
-        target = start + window_length
-        prior = lists[target - 12 - first] if target - 12 >= first else None
-        labels, validity = _label_arrays(lists[target - first], prior, shape)
-        samples.append(TrendSample(window_months=tuple(range(start, start + window_length)),
-                                   target_month=target, labels=labels, validity=validity))
+    for target in range(first + window_length, last + 1):
+        now = target - first
+        samples.append(TrendSample(window_months=tuple(range(target - window_length, target)),
+                                   target_month=target, labels=entered[now].astype(float),
+                                   validity=np.full(entered.shape[1:], float(now >= 12))))
     n = len(samples)
     if n >= 3:
         split = Split(train=tuple(range(n - 2)), valid=(n - 2,), test=(n - 1,))

@@ -60,8 +60,10 @@ class GeneratorConfig:
         for name in ("communities", "attributes", "cluster_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.surge_factor < 1.0:
-            raise ValueError(f"surge_factor must be >= 1, got {self.surge_factor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.surge_factor) and self.surge_factor >= 1.0):
+            raise ValueError(f"surge_factor must be finite and >= 1, got {self.surge_factor}")
         if len(self.eligible_band) != 2:
             raise ValueError(f"eligible_band must be two values lo,hi, got {self.eligible_band}")
         lo, hi = self.eligible_band
@@ -169,7 +171,11 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
         if config.noise > 0.0:
             jitter = rng.normal(0.0, 1.0, size=rate.shape)
             rate = rate * np.exp(config.noise * jitter - 0.5 * config.noise ** 2)
-        sales = rng.poisson(rate)
+        try:
+            sales = rng.poisson(rate)
+        except ValueError:
+            raise ValueError(f"surge_factor={f} drives a rate to {rate.max():.3g}, "
+                             "too large for the Poisson draw") from None
         for k in range(n_c):
             nonzero = np.flatnonzero(sales[k])
             for j in nonzero:

@@ -367,7 +367,7 @@ class TestWorkerGate:
         (2, {"OPENBLAS_NUM_THREADS": "many"}, False),
     ])
     def test_the_worker_needs_a_cpu_that_blas_leaves_free(self, cpus, environ, expected):
-        assert ad._cpu_left_by_blas(cpus, environ) is expected
+        assert ad._cpu_left_by_blas(cpus, ad.blas_threads(environ)) is expected
 
 
 def relay(a, delay=0.0, error=None):

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trendgraph import autodiff as ad
 from trendgraph import cli, snapshots
 from trendgraph.autodiff import ParameterStore
+from trendgraph.model import ModelConfig
+from trendgraph.synthetic import GeneratorConfig
 
 TINY = [
     "communities=3",
@@ -187,10 +192,10 @@ class TestTrain:
     ])
     def test_records_the_blas_thread_count_and_a_replay_skips_it(
             self, tmp_path, tiny_config, data_dir, monkeypatch, environ, recorded):
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in environ.items():
-            monkeypatch.setenv(var, value)
+        # the count that ``environ`` gives at import is recorded; the environment
+        # at the end of training, which BLAS never reads, is not
+        monkeypatch.setattr(ad, "BLAS_THREADS", ad.blas_threads(environ))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
         first, replay = tmp_path / "first", tmp_path / "replay"
         assert cli.main(["train", "--config", tiny_config, "--set", "max_epochs=1",
                          "--data", str(data_dir), "--out", str(first)]) == 0
@@ -247,8 +252,18 @@ class TestTrain:
          "bce_eps must be in (0, 0.5), got 0.7"),
         (["train", "--data", "d", "--out", "r", "--set", "bce_eps=-1"],
          "bce_eps must be in (0, 0.5), got -1.0"),
+        (["generate", "--out", "r", "--set", "surge_factor=nan"],
+         "surge_factor must be finite and >= 1, got nan"),
+        (["generate", "--out", "r", "--set", "surge_factor=inf"],
+         "surge_factor must be finite and >= 1, got inf"),
+        # finite, but its rates overflow the Poisson draw
+        (["generate", "--out", "r", "--set", "surge_factor=1e200"], "surge_factor=1e+200 "),
+        (["generate", "--out", "r", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["generate", "--out", "r", "--set", "seed=-1"], "seed must be >= 0, got -1"),
+        (["train", "--data", "d", "--out", "r", "--seed", "-1"], "seed must be >= 0, got -1"),
     ], ids=["alpha", "batch_size", "months", "eligible_band", "alpha_grid",
-            "bce_eps_above_half", "bce_eps_negative"])
+            "bce_eps_above_half", "bce_eps_negative", "surge_factor_nan", "surge_factor_inf",
+            "surge_factor_overflow", "seed_generate", "seed_generate_set", "seed_train"])
     def test_invalid_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 1
@@ -256,6 +271,19 @@ class TestTrain:
         assert err.startswith("error: bad config: ") and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+
+class TestConfigDocs:
+    def test_readme_key_tables_name_every_config_field(self):
+        """The README's two key tables name each field of both configs, and
+        no key that neither config has."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Key config fields", 1)[1].split("\n## ", 1)[0]
+        named = {key for line in section.splitlines() if line.startswith("| `")
+                 for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+        fields = {f.name for cls in (ModelConfig, GeneratorConfig)
+                  for f in dataclasses.fields(cls)}
+        assert named == fields
 
 
 class TestConfigFile:

@@ -6,6 +6,7 @@ import pytest
 
 from trendgraph import encoders as enc
 from trendgraph import snapshots as snap
+from trendgraph.predictions import PredictionMatrix
 from trendgraph.errors import CsvFormatError, InsufficientHistoryError, NegativeSalesError
 
 from conftest import index_of, monthly_from_tuples, random_monthly
@@ -466,6 +467,123 @@ class TestLabels:
                 assert not np.any((labels > 0) & (monthly.month(13) == 0))
             else:
                 assert not labels.any()
+
+
+# The per-row loops that the shared order replaced, kept as its reference.
+
+def reference_rank_lists(sales, k_percent):
+    """Each row's positive-sales attributes sorted on their own, then cut."""
+    lists = []
+    for row in sales:
+        active = np.flatnonzero(row > 0)
+        cutoff = math.ceil(k_percent / 100.0 * active.size)
+        order = active[np.argsort(-row[active], kind="stable")]
+        lists.append(order[:cutoff].tolist())
+    return lists
+
+
+def reference_label_arrays(current, prior, shape):
+    """Labels and validity from the target month's rank lists and the
+    year-back ones; ``prior`` is None when the year-back month is unobserved."""
+    if prior is None:
+        return np.zeros(shape), np.zeros(shape)
+    labels = np.zeros(shape)
+    for k, (now, before) in enumerate(zip(current, prior)):
+        labels[k, now] = 1.0
+        labels[k, before] = 0.0
+    return labels, np.ones(shape)
+
+
+def reference_top_lists(scores, n):
+    """Each row's first ``n`` columns of a lexsort on (-score, index)."""
+    out = []
+    for row in scores:
+        order = np.lexsort((np.arange(scores.shape[1]), -row))
+        out.append([int(j) for j in order[:n]])
+    return out
+
+
+def tied_matrices(seed, count, shape=None):
+    """Matrices of a few distinct non-negative levels, so ties are common;
+    about a fifth of the rows are all zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, cols = shape or (int(rng.integers(1, 6)), int(rng.integers(1, 13)))
+        levels = int(rng.integers(1, 5))
+        values = rng.integers(0, levels + 1, size=(rows, cols)) / levels
+        values[rng.random(rows) < 0.2] = 0.0
+        yield values
+
+
+RANK_SHAPES = [None, (1, 1), (1, 9), (6, 1)]
+K_PERCENTS = list(range(1, 101)) + [0.5, 12.5, 33.3, 99.99]
+
+
+class TestRanking:
+    @pytest.mark.parametrize("shape", RANK_SHAPES, ids=str)
+    def test_order_is_descending_with_ties_by_index(self, shape):
+        for values in tied_matrices(1, 200, shape):
+            order = snap.descending_order(values)
+            assert order.tolist() == reference_top_lists(values, values.shape[1])
+
+    @pytest.mark.parametrize("shape", RANK_SHAPES, ids=str)
+    def test_membership_and_rank_lists_match_the_per_row_loop(self, shape):
+        for i, sales in enumerate(tied_matrices(2, 120, shape)):
+            for k_percent in K_PERCENTS[i % 3::3]:
+                want = reference_rank_lists(sales, k_percent)
+                assert snap.rank_lists_for_sales(sales, k_percent) == want, (i, k_percent)
+                member = np.zeros(sales.shape, dtype=bool)
+                for k, top in enumerate(want):
+                    member[k, top] = True
+                np.testing.assert_array_equal(snap.top_k_membership(sales, k_percent), member)
+
+    def test_all_zero_rows_have_empty_lists(self):
+        sales = np.zeros((3, 4))
+        assert snap.rank_lists_for_sales(sales, 100) == [[], [], []]
+        assert not snap.top_k_membership(sales, 100).any()
+
+    def test_a_stacked_tensor_ranks_each_month_as_alone(self):
+        months = np.stack(list(tied_matrices(3, 9, (4, 7))))
+        member = snap.top_k_membership(months, 30)
+        order = snap.descending_order(months)
+        for m, sales in enumerate(months):
+            np.testing.assert_array_equal(order[m], snap.descending_order(sales))
+            np.testing.assert_array_equal(member[m], snap.top_k_membership(sales, 30))
+
+    @pytest.mark.parametrize("k_percent", [0, -5, 100.5])
+    def test_k_outside_its_range_is_refused(self, k_percent):
+        with pytest.raises(ValueError, match="k_percent must be in"):
+            snap.rank_lists_for_sales(np.ones((1, 2)), k_percent)
+
+    def test_window_labels_match_the_per_row_loop(self):
+        rng = np.random.default_rng(43)
+        for case in range(8):
+            monthly, catalogs = random_monthly(
+                seed=200 + case, n_communities=int(rng.integers(1, 5)),
+                n_attributes=int(rng.integers(1, 9)), months=int(rng.integers(13, 27)),
+                density=float(rng.uniform(0.2, 0.9)), max_sales=int(rng.integers(2, 6)))
+            shape = (catalogs.n_communities, catalogs.n_attributes)
+            for window_length in (1, 12):
+                for k_percent in (1, 10, 33, 50, 100):
+                    lists = [reference_rank_lists(m, k_percent) for m in monthly.sales]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        samples, _ = snap.build_windows(monthly, catalogs, window_length,
+                                                        k_percent)
+                    for sample in samples:
+                        now = sample.target_month - monthly.first_month
+                        prior = lists[now - 12] if now >= 12 else None
+                        labels, validity = reference_label_arrays(lists[now], prior, shape)
+                        assert sample.labels.dtype == labels.dtype
+                        np.testing.assert_array_equal(sample.labels, labels)
+                        np.testing.assert_array_equal(sample.validity, validity)
+
+    @pytest.mark.parametrize("shape", RANK_SHAPES, ids=str)
+    def test_top_lists_match_the_lexsort(self, shape):
+        for scores in tied_matrices(4, 200, shape):
+            matrix = PredictionMatrix(scores=scores, target_month=1)
+            for n in (1, 2, scores.shape[1], scores.shape[1] + 3):
+                assert matrix.top_lists(n) == reference_top_lists(scores, n)
 
 
 def random_instance(rng):
