@@ -3,13 +3,13 @@
 Every command resolves its configuration from built-in defaults, then an
 optional flat key=value config file, then command-line overrides, and
 writes the resolved result next to its outputs so any run can be replayed.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (including a path that cannot be read
+or written), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -22,7 +22,7 @@ from . import model as md
 from .errors import DataError, NumericalError, UsageError
 from .evaluate import community_aucs, evaluate_predictions, macro_average, mom_baseline
 from .model import ModelConfig
-from .snapshots import CSV_HEADER, SnapshotSeries, filter_min_sales, ingest
+from .snapshots import MonthlySales, SnapshotSeries, filter_min_sales, ingest, write_interactions
 from .synthetic import GeneratorConfig, generate, write_dataset
 
 RESOLVED_CONFIG_NAME = "config.resolved"
@@ -42,8 +42,6 @@ def _parse_value(raw: str, annotation):
         return int(raw)
     if annotation == "float":
         return float(raw)
-    if annotation == "str":
-        return raw
     if annotation.startswith("tuple[float"):
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     raise ValueError(f"unsupported config field type {annotation!r}")
@@ -145,12 +143,10 @@ def _load_monthly(data_dir) -> tuple:
     return ingest(path)
 
 
-def _load_series(data_dir, model_config: ModelConfig) -> tuple:
+def _load_series(data_dir, model_config: ModelConfig) -> SnapshotSeries:
     catalogs, monthly = _load_monthly(data_dir)
-    series = SnapshotSeries.build(monthly, catalogs,
-                                  window_length=model_config.window_length,
-                                  k_percent=model_config.k_percent)
-    return series, monthly
+    return SnapshotSeries.build(monthly, catalogs, window_length=model_config.window_length,
+                                k_percent=model_config.k_percent)
 
 
 def cmd_generate(args) -> int:
@@ -162,7 +158,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     interactions, annotations = write_dataset(dataset, out)
     write_resolved(generator_config, out)
-    print(f"wrote {len(dataset.rows)} interactions to {interactions}")
+    print(f"wrote {len(dataset.monthly)} interactions to {interactions}")
     print(f"wrote {len(dataset.annotations)} onset annotations to {annotations}")
     return 0
 
@@ -177,13 +173,7 @@ def cmd_ingest(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / "interactions.csv"
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        # csv quoting keeps an id with a comma, quote or line break one field
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows((filtered.first_month + m, catalogs.communities[k],
-                          filtered_catalogs.attributes[j], int(filtered.sales[m, k, j]))
-                         for m, k, j in np.argwhere(filtered.sales).tolist())
+    write_interactions(target, filtered_catalogs, filtered)
     write_resolved(model_config, out, notes={"min_sales": args.min_sales,
                                              "kept_attributes": filtered_catalogs.n_attributes,
                                              "dropped_attributes": catalogs.n_attributes - filtered_catalogs.n_attributes})
@@ -195,7 +185,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     model_config, _ = _load_configs(args)
-    series, _ = _load_series(args.data, model_config)
+    series = _load_series(args.data, model_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / EPOCH_LOG_NAME
@@ -257,15 +247,15 @@ def cmd_evaluate(args) -> int:
     _check_top(args)
     _checkpoint_config(args)
     model_config, _ = _load_configs(args)
-    series, monthly = _load_series(args.data, model_config)
+    series = _load_series(args.data, model_config)
     if not series.split.test:
         raise DataError("no test window available")
     store = _restore_model(args, model_config, series)
     consts = md.build_constants(series, model_config)
     test_samples = [series.samples[i] for i in series.split.test]
     model_preds = [md.predict(series, consts, s, store, model_config) for s in test_samples]
-    mom_preds = [mom_baseline(monthly, series.catalogs, s.target_month, model_config.k_percent)
-                 for s in test_samples]
+    mom_preds = [mom_baseline(series.monthly, series.catalogs, s.target_month,
+                              model_config.k_percent) for s in test_samples]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     reports = {}
@@ -291,13 +281,13 @@ def cmd_predict(args) -> int:
         raise DataError(f"predict needs window_length={length} months "
                         f"of history, data covers only {len(monthly.months)}")
     # one window ending at the last month, and constants for its months alone
-    window = tuple(monthly.months[-length:])
-    series = SnapshotSeries(catalogs=catalogs, months=window, sales=monthly.sales[-length:])
+    window = MonthlySales(monthly.last_month - length + 1, monthly.sales[-length:])
+    series = SnapshotSeries(catalogs=catalogs, monthly=window)
     store = _restore_model(args, model_config, series)
     consts = md.build_constants(series, model_config)
-    last = series.last_month
+    last = window.last_month
     shape = (series.catalogs.n_communities, series.catalogs.n_attributes)
-    sample = md.TrendSample(window_months=window, target_month=last + 1,
+    sample = md.TrendSample(window_months=tuple(window.months), target_month=last + 1,
                             labels=np.zeros(shape), validity=np.zeros(shape))
     prediction = md.predict(series, consts, sample, store, model_config)
     top = prediction.top_lists(args.top)
@@ -310,7 +300,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep_alpha(args) -> int:
     model_config, _ = _load_configs(args)
-    series, _ = _load_series(args.data, model_config)
+    series = _load_series(args.data, model_config)
     if not series.split.test:
         raise DataError("no test window available")
     out = Path(args.out)
@@ -403,6 +393,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NumericalError.exit_code
+    except OSError as exc:     # a path that cannot be read or written; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return UsageError.exit_code
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Both graphs of a month are read off its communities x attributes sales
 matrix S: S itself is the weighted adjacency of the bipartite graph, and
 its support transposed, H = (S.T > 0), is the attributes x communities
 incidence of the hypergraph with one hyperedge per community.  The
-operators below are derived from S once per month and passed to the
-encoders as constants.
+operators below are derived from S and passed to the encoders as
+constants; each acts on the last two axes, so one call derives them for
+every month of a months x communities x attributes sales tensor.
 
 Both encoders take that month's attribute features as input (the model
 passes its sales embedding), so an attribute's representation comes from
@@ -29,13 +30,13 @@ from .autodiff import Node
 def neighbor_mean_matrix(sales: np.ndarray) -> np.ndarray:
     """Attribute x community averaging operator weighted by edge sales.
 
-    ``sales`` is one month's communities x attributes matrix; row j of the
-    result holds S[k, j] / sum_k S[k, j] at each neighbor k.  Isolated
-    attributes get an all-zero row, so their aggregated neighbor vector is
-    zero.
+    ``sales`` is one month's communities x attributes matrix, or a stack of
+    them; row j of the result holds S[k, j] / sum_k S[k, j] at each neighbor
+    k.  Isolated attributes get an all-zero row, so their aggregated neighbor
+    vector is zero.
     """
-    out = sales.T.copy()
-    totals = out.sum(axis=1, keepdims=True)
+    out = np.swapaxes(sales, -1, -2).copy()
+    totals = out.sum(axis=-1, keepdims=True)
     np.divide(out, totals, out=out, where=totals > 0)
     return out
 
@@ -56,7 +57,8 @@ def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Nod
 
 def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factored propagation operator (left, right) of one month's sales matrix,
-    with left @ right equal to Dv^-1/2 H W De^-1 H^T Dv^-1/2.
+    or of each matrix in a stack, with left @ right equal to
+    Dv^-1/2 H W De^-1 H^T Dv^-1/2.
 
     H = (S.T > 0) is the incidence, every hyperedge weight W is 1, Dv counts
     the hyperedges at each attribute and De the attributes in each
@@ -64,17 +66,17 @@ def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarr
     of dividing by zero, which leaves isolated vertices at exactly zero
     after ReLU.
     """
-    incidence = (sales.T > 0).astype(np.float64)
-    vertex_degrees = incidence.sum(axis=1)
-    edge_degrees = incidence.sum(axis=0)
+    incidence = (np.swapaxes(sales, -1, -2) > 0).astype(np.float64)
+    vertex_degrees = incidence.sum(axis=-1)
+    edge_degrees = incidence.sum(axis=-2)
     d_inv_sqrt = np.zeros_like(vertex_degrees)
     nz_v = vertex_degrees > 0
     d_inv_sqrt[nz_v] = 1.0 / np.sqrt(vertex_degrees[nz_v])
     b_inv = np.zeros_like(edge_degrees)
     nz_e = edge_degrees > 0
     b_inv[nz_e] = 1.0 / edge_degrees[nz_e]
-    left = d_inv_sqrt[:, None] * incidence
-    right = b_inv[:, None] * incidence.T * d_inv_sqrt[None, :]
+    left = d_inv_sqrt[..., :, None] * incidence
+    right = b_inv[..., :, None] * np.swapaxes(incidence, -1, -2) * d_inv_sqrt[..., None, :]
     return left, right
 
 

@@ -157,10 +157,7 @@ def mom_baseline(monthly: MonthlySales, catalogs: Catalogs,
     if sales is None:
         raise DataError(f"month {prev} needed by the month-on-month baseline is missing")
     lists = rank_lists_for_sales(sales, k_percent)
-    scores = np.zeros_like(sales)
-    for k in range(sales.shape[0]):
-        row = sales[k]
-        spread = row.max() - row.min()
-        if spread > 0:
-            scores[k] = (row - row.min()) / spread
+    lo = sales.min(axis=1, keepdims=True)
+    spread = sales.max(axis=1, keepdims=True) - lo
+    scores = np.divide(sales - lo, spread, out=np.zeros_like(sales), where=spread > 0)
     return PredictionMatrix(scores=scores, target_month=target_month, ranked_lists=lists)

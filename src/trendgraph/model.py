@@ -132,32 +132,27 @@ def _gru_params(store: ParameterStore, prefix: str) -> tuple[Node, ...]:
 
 @dataclass
 class GraphConstants:
-    """Per-month arrays derived once from the sales tensor, reused every step."""
+    """Arrays derived once from the sales tensor and reused every step, each
+    stacked over the months: index ``m - first_month`` holds month ``m``."""
 
-    aggregator: dict[int, np.ndarray]
-    hyper_left: dict[int, np.ndarray]
-    hyper_right: dict[int, np.ndarray]
-    patches: dict[int, np.ndarray]
+    first_month: int
+    aggregator: np.ndarray      # months x attributes x communities
+    hyper_left: np.ndarray      # months x attributes x communities
+    hyper_right: np.ndarray     # months x communities x attributes
+    patches: np.ndarray         # months x (attributes * positions) x CONV_WIDTH
     positions: int
-    scaled: dict[int, np.ndarray]
+    scaled: np.ndarray          # months x communities x attributes
 
 
 def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstants:
-    aggregator: dict[int, np.ndarray] = {}
-    hyper_left: dict[int, np.ndarray] = {}
-    hyper_right: dict[int, np.ndarray] = {}
-    scaled: dict[int, np.ndarray] = {}
-    for m, sales in zip(series.months, series.sales):
-        aggregator[m] = enc.neighbor_mean_matrix(sales)
-        hyper_left[m], hyper_right[m] = enc.hypergraph_operator_factors(sales)
-        scaled[m] = tp.scale_sales(sales)
-    patches: dict[int, np.ndarray] = {}
-    positions = 1
-    for m in series.months:
-        patches[m], positions = tp.sales_patch_matrix(scaled[m])
-    return GraphConstants(aggregator=aggregator, hyper_left=hyper_left,
-                          hyper_right=hyper_right, patches=patches,
-                          positions=positions, scaled=scaled)
+    sales = series.monthly.sales
+    scaled = tp.scale_sales(sales)
+    hyper_left, hyper_right = enc.hypergraph_operator_factors(sales)
+    patches, positions = tp.sales_patch_matrix(scaled)
+    return GraphConstants(first_month=series.monthly.first_month,
+                          aggregator=enc.neighbor_mean_matrix(sales), hyper_left=hyper_left,
+                          hyper_right=hyper_right, patches=patches, positions=positions,
+                          scaled=scaled)
 
 
 def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
@@ -177,6 +172,12 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
         raise ShapeMismatchError(
             f"sample window has {len(sample.window_months)} months, "
             f"config window_length is {config.window_length}")
+    offsets = [m - consts.first_month for m in sample.window_months]
+    if not all(0 <= i < len(consts.scaled) for i in offsets):
+        raise ShapeMismatchError(
+            f"sample window months {sample.window_months[0]}..{sample.window_months[-1]} "
+            f"are not all among the constants' {len(consts.scaled)} months "
+            f"from {consts.first_month}")
     catalogs = series.catalogs
     n_attributes = catalogs.n_attributes
     a0, a1 = rows = attr_range if attr_range is not None else (0, n_attributes)
@@ -188,8 +189,8 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     month_params = (store["sales_conv_kernel"], store["sales_conv_bias"], community_embed,
                     store["sage_agg_0"], store["sage_update_0"], store["hyper_mix_0"])
     inputs = [x for (x,) in ad.fork(
-        [lambda *params, m=m: [_fused_input(consts, m, rows, config, *params)]
-         for m in sample.window_months], month_params)]
+        [lambda *params, i=i: [_fused_input(consts, i, rows, config, *params)]
+         for i in offsets], month_params)]
 
     steps = len(inputs)
     history: list[Node | None] = []
@@ -210,7 +211,7 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     evolved = tp.combine_recurrent(recent_states[-1], history, store["combine_recent"],
                                    skip_weights, store["combine_bias"])
 
-    history_nodes = [ad.constant(consts.scaled[m][:, a0:a1]) for m in sample.window_months]
+    history_nodes = [ad.constant(consts.scaled[i][:, a0:a1]) for i in offsets]
     coeff_nodes = [store[f"ar_lag_{lag:02d}"] for lag in range(len(sample.window_months))]
     forecast = tp.autoregressive(history_nodes, coeff_nodes, store["ar_bias"])
 
@@ -218,24 +219,24 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
     return ad.sigmoid(ad.add(affinity, forecast))
 
 
-def _fused_input(consts: GraphConstants, m: int, rows: tuple[int, int], config: ModelConfig,
+def _fused_input(consts: GraphConstants, i: int, rows: tuple[int, int], config: ModelConfig,
                  kernel: Node, conv_bias: Node, community_embed: Node, w_agg: Node,
                  w_update: Node, mix: Node) -> Node:
-    """Month ``m``'s recurrent input for the attributes in ``rows``:
-    (1 - alpha) * bipartite + alpha * hypergraph + sales embedding, where an
-    encoder weighted 0 is not run."""
+    """The recurrent input of the constants' ``i``-th month for the attributes
+    in ``rows``: (1 - alpha) * bipartite + alpha * hypergraph + sales
+    embedding, where an encoder weighted 0 is not run."""
     a0, a1 = rows
-    sales = tp.embed_sales_batch(ad.constant(consts.patches[m]), consts.positions,
+    sales = tp.embed_sales_batch(ad.constant(consts.patches[i]), consts.positions,
                                  kernel, conv_bias)
     batch_sales = ad.slice_block(sales, rows, (0, config.d))
     parts: list[Node] = []
     if config.alpha < 1.0:
-        bip = enc.sage_encode(ad.constant(consts.aggregator[m][a0:a1]), community_embed,
+        bip = enc.sage_encode(ad.constant(consts.aggregator[i][a0:a1]), community_embed,
                               batch_sales, w_agg, w_update)
         parts.append(ad.scale(bip, 1.0 - config.alpha))
     if config.alpha > 0.0:
-        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[m]),
-                                    ad.constant(consts.hyper_right[m])),
+        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[i]),
+                                    ad.constant(consts.hyper_right[i])),
                                    sales, mix, rows)
         parts.append(ad.scale(hyp, config.alpha))
     parts.append(batch_sales)

@@ -49,8 +49,10 @@ class MonthlySales:
     """Summed sales of every (month, community, attribute) cell.
 
     ``sales[i]`` is the communities x attributes matrix of month
-    ``first_month + i``.  The first and the last month each hold sales; empty
-    data has zero months.  Build it with ``from_cells``.
+    ``first_month + i``.  ``from_cells`` builds one whose first and last
+    month hold sales (empty data has zero months); the generator's tensor and
+    a slice of months, such as ``predict``'s window, may begin or end on a
+    month without sales.
     """
 
     first_month: int
@@ -287,6 +289,20 @@ def _number(keys: np.ndarray, ids: dict[bytes, int]) -> np.ndarray:
     return index[inverse]
 
 
+def write_interactions(path, catalogs: Catalogs, monthly: MonthlySales) -> None:
+    """One interaction row per cell with sales, ordered by month, community and
+    attribute index; ``generate`` and ``ingest`` both write through it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        # csv quoting keeps an id with a comma, quote or line break one field
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for month, sales in zip(monthly.months, monthly.sales):
+            communities, attributes = np.nonzero(sales)
+            writer.writerows((month, catalogs.communities[k], catalogs.attributes[j], int(s))
+                             for k, j, s in zip(communities.tolist(), attributes.tolist(),
+                                                sales[communities, attributes].tolist()))
+
+
 def filter_min_sales(monthly: MonthlySales, catalogs: Catalogs,
                      threshold: int) -> tuple[Catalogs, MonthlySales]:
     """Drop attributes whose latest-month total sales fall below threshold.
@@ -378,14 +394,12 @@ def build_windows(monthly: MonthlySales, catalogs: Catalogs,
 class SnapshotSeries:
     """Everything the model consumes: the monthly sales tensor and the samples.
 
-    ``sales[i]`` is the communities x attributes sales matrix of month
-    ``months[i]``; that month's bipartite graph and hypergraph are derived
-    from it (see the module docstring).
+    Each month's bipartite graph and hypergraph are derived from its matrix
+    in ``monthly`` (see the module docstring).
     """
 
     catalogs: Catalogs
-    months: tuple[int, ...]
-    sales: np.ndarray
+    monthly: MonthlySales
     samples: list[TrendSample] = field(default_factory=list)
     split: Split = Split((), (), ())
 
@@ -393,9 +407,4 @@ class SnapshotSeries:
     def build(cls, monthly: MonthlySales, catalogs: Catalogs,
               window_length: int = 12, k_percent: float = 50.0) -> "SnapshotSeries":
         samples, split = build_windows(monthly, catalogs, window_length, k_percent)
-        return cls(catalogs=catalogs, months=tuple(monthly.months), sales=monthly.sales,
-                   samples=samples, split=split)
-
-    @property
-    def last_month(self) -> int:
-        return self.months[-1]
+        return cls(catalogs=catalogs, monthly=monthly, samples=samples, split=split)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .snapshots import CSV_HEADER
+from .snapshots import Catalogs, MonthlySales, write_interactions
 
 ANNOTATION_HEADER = ["month", "community", "attribute"]
 
@@ -73,15 +73,12 @@ class GeneratorConfig:
 
 @dataclass
 class SyntheticDataset:
-    """Rows ready for the interaction CSV plus the planted-onset annotations."""
+    """The drawn sales tensor of months 1..``months`` with its catalogs, plus
+    the planted-onset annotations as (month, community id, attribute id)."""
 
-    rows: list[tuple[int, str, str, int]]
+    catalogs: Catalogs
+    monthly: MonthlySales
     annotations: list[tuple[int, str, str]]
-
-    def interactions_csv(self) -> str:
-        lines = [",".join(CSV_HEADER)]
-        lines.extend(f"{m},{c},{a},{s}" for m, c, a, s in self.rows)
-        return "\n".join(lines) + "\n"
 
     def annotations_csv(self) -> str:
         lines = [",".join(ANNOTATION_HEADER)]
@@ -104,7 +101,8 @@ def _attribute_names(n: int) -> list[str]:
 
 
 def generate(config: GeneratorConfig) -> SyntheticDataset:
-    """Draw one dataset; identical configs produce byte-identical CSV text."""
+    """Draw one dataset; identical configs give identical tensors, so
+    ``write_dataset`` writes byte-identical files."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     n_c, n_a, n_m = config.communities, config.attributes, config.months
@@ -160,11 +158,8 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
                 if month + 1 <= n_m:
                     multiplier[month + 1, k, j] *= decay
 
-    communities = _community_names(n_c)
-    attributes = _attribute_names(n_a)
-    rows: list[tuple[int, str, str, int]] = []
-    months_axis = np.arange(1, n_m + 1)
-    for month in months_axis:
+    sales = np.zeros((n_m, n_c, n_a))
+    for month in range(1, n_m + 1):
         season = 1.0 + SEASON_AMPLITUDE * np.sin(
             2.0 * math.pi * (month + phase) / SEASON_PERIOD)
         rate = base * season[None, :] * multiplier[month]
@@ -172,16 +167,15 @@ def generate(config: GeneratorConfig) -> SyntheticDataset:
             jitter = rng.normal(0.0, 1.0, size=rate.shape)
             rate = rate * np.exp(config.noise * jitter - 0.5 * config.noise ** 2)
         try:
-            sales = rng.poisson(rate)
+            sales[month - 1] = rng.poisson(rate)
         except ValueError:
             raise ValueError(f"surge_factor={f} drives a rate to {rate.max():.3g}, "
                              "too large for the Poisson draw") from None
-        for k in range(n_c):
-            nonzero = np.flatnonzero(sales[k])
-            for j in nonzero:
-                rows.append((int(month), communities[k], attributes[j], int(sales[k, j])))
-    named_annotations = sorted((m, communities[k], attributes[j]) for m, k, j in annotations)
-    return SyntheticDataset(rows=rows, annotations=named_annotations)
+    catalogs = Catalogs(tuple(_community_names(n_c)), tuple(_attribute_names(n_a)))
+    named_annotations = sorted((m, catalogs.communities[k], catalogs.attributes[j])
+                               for m, k, j in annotations)
+    return SyntheticDataset(catalogs=catalogs, monthly=MonthlySales(1, sales),
+                            annotations=named_annotations)
 
 
 def write_dataset(dataset: SyntheticDataset, out_dir) -> tuple[str, str]:
@@ -192,6 +186,6 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> tuple[str, str]:
     out.mkdir(parents=True, exist_ok=True)
     interactions = out / "interactions.csv"
     annotations = out / "annotations.csv"
-    interactions.write_text(dataset.interactions_csv(), encoding="utf-8", newline="\n")
+    write_interactions(interactions, dataset.catalogs, dataset.monthly)
     annotations.write_text(dataset.annotations_csv(), encoding="utf-8", newline="\n")
     return str(interactions), str(annotations)

@@ -42,7 +42,8 @@ CONV_WIDTH = 3
 
 
 def scale_sales(raw: np.ndarray) -> np.ndarray:
-    """The global sales transform: log(1 + x). Inverse is expm1."""
+    """The global sales transform: log(1 + x), elementwise on any shape.
+    Inverse is expm1."""
     return np.log1p(raw)
 
 
@@ -62,7 +63,8 @@ class GruWeights:
 
 
 def sales_patch_matrix(scaled: np.ndarray) -> tuple[np.ndarray, int]:
-    """Stacked convolution windows for every attribute of a scaled sales matrix.
+    """Stacked convolution windows for every attribute of a scaled sales matrix,
+    or of each matrix in a stack.
 
     Input is communities x attributes; output stacks each attribute's
     community-axis windows vertically: (attributes * positions) x width,
@@ -70,13 +72,13 @@ def sales_patch_matrix(scaled: np.ndarray) -> tuple[np.ndarray, int]:
     whole month.  Community axes shorter than the kernel are left-padded
     with zeros.
     """
-    n_c, n_a = scaled.shape
+    *months, n_c, n_a = scaled.shape
     if n_c < CONV_WIDTH:
-        scaled = np.vstack([np.zeros((CONV_WIDTH - n_c, n_a)), scaled])
+        scaled = np.concatenate([np.zeros((*months, CONV_WIDTH - n_c, n_a)), scaled], axis=-2)
         n_c = CONV_WIDTH
     positions = n_c - CONV_WIDTH + 1
-    windows = np.lib.stride_tricks.sliding_window_view(scaled, CONV_WIDTH, axis=0)
-    patches = windows.transpose(1, 0, 2).reshape(n_a * positions, CONV_WIDTH)
+    windows = np.lib.stride_tricks.sliding_window_view(scaled, CONV_WIDTH, axis=-2)
+    patches = np.swapaxes(windows, -3, -2).reshape(*months, n_a * positions, CONV_WIDTH)
     return np.ascontiguousarray(patches), positions
 
 

@@ -39,6 +39,18 @@ def random_monthly(seed, n_communities=3, n_attributes=5, months=15, density=0.7
     return monthly_from_tuples(tuples, catalogs), catalogs
 
 
+def sparse_sales_stack(rng, n_months, n_communities, n_attributes):
+    """Months x communities x attributes of sparse integer sales in which the
+    last attribute never sells (isolated), the first community buys nothing in
+    month 0 (an empty hyperedge) and month 1 holds no sales at all."""
+    shape = (n_months, n_communities, n_attributes)
+    sales = (rng.integers(1, 30, size=shape) * (rng.random(shape) < 0.5)).astype(float)
+    sales[:, :, -1] = 0
+    sales[0, 0] = 0
+    sales[1] = 0
+    return sales
+
+
 def block_row_mean(a, block):
     """Mean over consecutive row blocks as an autodiff op of its own: (n*block)
     rows become n.  The oracle of the block mean that

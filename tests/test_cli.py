@@ -439,7 +439,7 @@ class TestPredict:
         build = cli.md.build_constants
 
         def recording(series, config):
-            built.append(series.months)
+            built.append(series.monthly.months)
             return build(series, config)
 
         monkeypatch.setattr(cli.md, "build_constants", recording)
@@ -447,7 +447,7 @@ class TestPredict:
                          "--checkpoint", str(run_dir / "model.ckpt"), "--top", "4"])
         assert code == 0
         target = int(capsys.readouterr().out.split(":")[0].split()[-1])
-        assert built == [tuple(range(target - 12, target))]
+        assert built == [range(target - 12, target)]
 
     def test_fewer_months_than_window_length_is_data_error(self, tmp_path, data_dir,
                                                            run_dir, capsys):
@@ -482,6 +482,49 @@ class TestSweepAlpha:
         rows = [json.loads(l) for l in (out / "sweep_alpha.ndjson").read_text().splitlines()]
         assert [r["alpha"] for r in rows] == [0.0, 1.0]
         assert all("test_macro_auc" in r for r in rows)
+
+
+def _directory(path):
+    path.mkdir(parents=True)
+    return path
+
+
+def _file(path):
+    path.write_text("not a directory\n")
+    return path
+
+
+# each case: the argv of a command given a path it cannot read or write, and that path
+PATH_CASES = {
+    "predict --checkpoint is a directory": lambda tmp, data: (
+        ["predict", "--data", str(data), "--checkpoint", str(p := _directory(tmp / "ckpt"))], p),
+    "evaluate --checkpoint is a directory": lambda tmp, data: (
+        ["evaluate", "--data", str(data), "--checkpoint", str(p := _directory(tmp / "ckpt")),
+         "--out", str(tmp / "eval")], p),
+    "train --data holds a directory as interactions.csv": lambda tmp, data: (
+        ["train", "--data", str(tmp / "d"), "--out", str(tmp / "run")],
+        _directory(tmp / "d" / "interactions.csv")),
+    "ingest --input is a directory": lambda tmp, data: (
+        ["ingest", "--input", str(p := _directory(tmp / "in.csv")), "--out", str(tmp / "i")], p),
+    "train --out is a file": lambda tmp, data: (
+        ["train", "--data", str(data), "--out", str(p := _file(tmp / "run"))], p),
+    "ingest --out is a file": lambda tmp, data: (
+        ["ingest", "--input", str(data / "interactions.csv"), "--out",
+         str(p := _file(tmp / "i"))], p),
+    "generate --out lies under a file": lambda tmp, data: (
+        ["generate", "--out", str(_file(tmp / "f") / "d")], tmp / "f" / "d"),
+}
+
+
+class TestPathErrors:
+    @pytest.mark.parametrize("case", PATH_CASES)
+    def test_exits_1_with_an_error_line_naming_the_path(self, tmp_path, data_dir, capsys, case):
+        argv, path = PATH_CASES[case](tmp_path, data_dir)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

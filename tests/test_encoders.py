@@ -4,7 +4,7 @@ import pytest
 from trendgraph import autodiff as ad
 from trendgraph import encoders as enc
 
-from conftest import finite_difference_check
+from conftest import finite_difference_check, sparse_sales_stack
 
 
 def make_snapshot(adjacency, n_communities):
@@ -84,6 +84,16 @@ class TestNeighborMeanMatrix:
                                        rtol=4 * np.finfo(float).eps, atol=0)
             # the month's sales matrix is left as it was
             assert all(sales[k, j] == w for k, j, w in edges)
+
+    def test_a_stack_gives_each_months_matrix(self):
+        rng = np.random.default_rng(6)
+        for n_communities in (1, 2, 5):
+            sales = sparse_sales_stack(rng, 4, n_communities, 6)
+            stacked = enc.neighbor_mean_matrix(sales)
+            for i, month in enumerate(sales):
+                alone = enc.neighbor_mean_matrix(month)
+                assert stacked[i].shape == alone.shape
+                assert stacked[i].tobytes() == alone.tobytes()
 
 
 class TestSageEncode:

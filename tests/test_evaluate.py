@@ -72,6 +72,17 @@ class TestAuc:
             assert ev.auc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+def min_max_oracle(sales):
+    """Each community's row min-max scaled to [0, 1] in a loop; a constant row scores 0."""
+    scores = np.zeros_like(sales)
+    for k in range(sales.shape[0]):
+        row = sales[k]
+        spread = row.max() - row.min()
+        if spread > 0:
+            scores[k] = (row - row.min()) / spread
+    return scores
+
+
 class TestMomBaseline:
     def monthly(self):
         return monthly_from_tuples([(1, "c1", "a1", 10), (2, "c1", "a2", 5)],
@@ -87,6 +98,21 @@ class TestMomBaseline:
         monthly = monthly_from_tuples([(1, "c1", "a1", 10), (2, "c2", "a1", 1)], catalogs)
         pred = ev.mom_baseline(monthly, catalogs, 2, 50)
         np.testing.assert_array_equal(pred.scores[1], [0.0])
+
+    def test_scores_equal_the_per_row_loop_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n_c, n_a = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            sales = (rng.integers(1, 1000, size=(2, n_c, n_a))
+                     * (rng.random((2, n_c, n_a)) < 0.6)).astype(float)
+            kind = rng.integers(0, 3, size=n_c)
+            sales[0, kind == 1] = 0.0                                # all-zero rows
+            sales[0, kind == 2] = rng.integers(1, 50, size=(int((kind == 2).sum()), 1))
+            catalogs = snap.Catalogs(tuple(f"c{k}" for k in range(n_c)),
+                                     tuple(f"a{j}" for j in range(n_a)))
+            pred = ev.mom_baseline(snap.MonthlySales(3, sales), catalogs, 4, 50)
+            want = min_max_oracle(sales[0])
+            assert pred.scores.tobytes() == want.tobytes()
 
     def test_missing_previous_month_errors(self):
         catalogs = snap.Catalogs(("c1",), ("a1", "a2"))

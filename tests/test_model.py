@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from trendgraph import autodiff as ad
+from trendgraph import encoders as enc
 from trendgraph import model as md
+from trendgraph import temporal as tp
 from trendgraph.errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
@@ -134,6 +136,47 @@ class TestForward:
 
         np.testing.assert_allclose(scores(permuted_monthly, permuted),
                                    scores(monthly, catalogs)[:, perm], atol=1e-12)
+
+
+class TestGraphConstants:
+    def sparse_series(self):
+        """Two communities (the sales patches pad to three), a first month of 4,
+        an attribute that never sells, a community without sales in some months,
+        and a month without any."""
+        monthly, catalogs = random_monthly(seed=21, n_communities=2, n_attributes=6,
+                                           months=16, density=0.5)
+        sales = monthly.sales.copy()
+        sales[:, :, 2] = 0
+        sales[3:9, 1] = 0
+        sales[5] = 0
+        return SnapshotSeries(catalogs, MonthlySales(4, sales))
+
+    def test_each_months_slice_equals_the_per_month_operators(self):
+        series = self.sparse_series()
+        consts = md.build_constants(series, SMALL)
+        assert consts.first_month == 4 and consts.positions == 1
+        for i, sales in enumerate(series.monthly.sales):
+            scaled = tp.scale_sales(sales)
+            left, right = enc.hypergraph_operator_factors(sales)
+            patches, _ = tp.sales_patch_matrix(scaled)
+            for stacked, alone in ((consts.aggregator, enc.neighbor_mean_matrix(sales)),
+                                   (consts.hyper_left, left), (consts.hyper_right, right),
+                                   (consts.patches, patches), (consts.scaled, scaled)):
+                assert stacked[i].shape == alone.shape
+                assert stacked[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("first", [3, 6])
+    def test_a_window_outside_the_constants_months_is_refused(self, first):
+        series = self.sparse_series()
+        # constants of months 5..16 alone; a window of 3..14 or 6..17 reaches past them
+        window = SnapshotSeries(series.catalogs, MonthlySales(5, series.monthly.sales[1:13]))
+        consts = md.build_constants(window, SMALL)
+        shape = (2, 6)
+        sample = md.TrendSample(tuple(range(first, first + 12)), first + 12,
+                                np.zeros(shape), np.zeros(shape))
+        store = md.initialize(SMALL, series.catalogs)
+        with pytest.raises(ShapeMismatchError, match=r"12 months from 5"):
+            md.forward(window, consts, sample, store, SMALL)
 
 
 class TestRowRestriction:
@@ -393,9 +436,10 @@ class TestWorkerThread:
         consts = md.build_constants(tiny_series, SMALL)
         sample = tiny_series.samples[0]
         good = md.forward(tiny_series, consts, sample, store, SMALL).value
-        m = sample.window_months[month]
-        broken = replace(consts, patches={**consts.patches, m: consts.patches[m][:, :2]})
-        with pytest.raises(ShapeMismatchError, match="affine_relu_block_mean") as raised:
+        patches = consts.patches.copy()
+        patches[sample.window_months[month] - consts.first_month, 0, 0] = np.nan
+        broken = replace(consts, patches=patches)
+        with pytest.raises(NonFiniteError, match="non-finite") as raised:
             md.forward(tiny_series, broken, sample, store, SMALL)
         assert all(f.done() for f in worker.futures)
         assert (worker.futures[-1].exception() is raised.value) == on_worker

@@ -9,7 +9,7 @@ from trendgraph import snapshots as snap
 from trendgraph.predictions import PredictionMatrix
 from trendgraph.errors import CsvFormatError, InsufficientHistoryError, NegativeSalesError
 
-from conftest import index_of, monthly_from_tuples, random_monthly
+from conftest import index_of, monthly_from_tuples, random_monthly, sparse_sales_stack
 
 
 def write_csv(tmp_path, rows, header="month,community,attribute,sales"):
@@ -387,6 +387,16 @@ class TestHypergraph:
         assert left.shape == (2, 2) and right.shape == (2, 2)
         assert not left.any() and not right.any()
 
+    def test_a_stack_gives_each_months_factors(self):
+        rng = np.random.default_rng(7)
+        for n_communities in (1, 2, 5):
+            sales = sparse_sales_stack(rng, 4, n_communities, 6)
+            left, right = enc.hypergraph_operator_factors(sales)
+            for i, month in enumerate(sales):
+                for stacked, alone in zip((left, right), enc.hypergraph_operator_factors(month)):
+                    assert stacked[i].shape == alone.shape
+                    assert stacked[i].tobytes() == alone.tobytes()
+
     def test_round_trip_reproduces_adjacency(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -680,7 +690,8 @@ class TestWindows:
     def test_series_build_collects_every_month(self):
         monthly, catalogs = self.make_monthly(25)
         series = snap.SnapshotSeries.build(monthly, catalogs)
-        assert series.months == tuple(range(1, 26))
-        assert series.sales.shape == (25, 1, 2)
-        np.testing.assert_array_equal(series.sales[3], [[5.0, 26.0]])
-        assert series.last_month == 25
+        assert series.monthly is monthly
+        assert series.monthly.months == range(1, 26)
+        assert series.monthly.sales.shape == (25, 1, 2)
+        np.testing.assert_array_equal(series.monthly.month(4), [[5.0, 26.0]])
+        assert [s.target_month for s in series.samples] == list(range(13, 26))

@@ -9,7 +9,7 @@ from trendgraph import model as md
 from trendgraph import temporal as tp
 from trendgraph.errors import ShapeMismatchError
 
-from conftest import finite_difference_check, gru_cell, gru_rollout_oracle
+from conftest import finite_difference_check, gru_cell, gru_rollout_oracle, sparse_sales_stack
 
 
 def make_gru_weights(rng, d, scale=1.0):
@@ -101,6 +101,21 @@ class TestEmbedSales:
                                        embed_sales_oracle(raw, kernel, bias), atol=1e-12)
 
 
+    def test_a_stack_gives_each_months_patches(self):
+        rng = np.random.default_rng(9)
+        for n_communities in (1, 2, 3, 7):
+            sales = sparse_sales_stack(rng, 4, n_communities, 5)
+            scaled = tp.scale_sales(sales)
+            patches, positions = tp.sales_patch_matrix(scaled)
+            for i, month in enumerate(sales):
+                alone = tp.scale_sales(month)
+                assert scaled[i].tobytes() == alone.tobytes()
+                alone, alone_positions = tp.sales_patch_matrix(alone)
+                assert positions == alone_positions
+                assert patches[i].shape == alone.shape
+                assert patches[i].tobytes() == alone.tobytes()
+
+
 class TestFuse:
     """``model.forward`` feeds the GRUs (1 - alpha) * bipartite + alpha * hypergraph + sales,
     and does not run an encoder whose weight is 0."""
@@ -111,6 +126,8 @@ class TestFuse:
         config = md.ModelConfig(d=4, seed=3, alpha=alpha)
         store = md.initialize(config, series.catalogs)
         with monkeypatch.context() as patch:
+            # the parts are recorded in call order, so the months run in order on the caller
+            patch.setattr(ad, "_WORKER", None)
             for module, name in ((enc, "sage_encode"), (enc, "hyperconv_encode"),
                                  (tp, "embed_sales_batch")):
                 def recorded(*args, _fn=getattr(module, name), _seen=parts[name]):
