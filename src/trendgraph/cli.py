@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 from .errors import DataError, NumericalError, UsageError
-from .evaluate import community_aucs, evaluate_predictions, macro_average, mom_baseline
+from .evaluate import evaluate_predictions, mom_baseline
 from .model import ModelConfig
 from .snapshots import MonthlySales, SnapshotSeries, filter_min_sales, ingest, write_interactions
 from .synthetic import GeneratorConfig, generate, write_dataset
@@ -168,10 +168,10 @@ def cmd_ingest(args) -> int:
     source = Path(args.input)
     if not source.exists():
         raise UsageError(f"input file not found: {source}")
-    catalogs, monthly = ingest(source)
-    filtered_catalogs, filtered = filter_min_sales(monthly, catalogs, args.min_sales)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    catalogs, monthly = ingest(source)
+    filtered_catalogs, filtered = filter_min_sales(monthly, catalogs, args.min_sales)
     target = out / "interactions.csv"
     write_interactions(target, filtered_catalogs, filtered)
     write_resolved(model_config, out, notes={"min_sales": args.min_sales,
@@ -251,13 +251,13 @@ def cmd_evaluate(args) -> int:
     if not series.split.test:
         raise DataError("no test window available")
     store = _restore_model(args, model_config, series)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     consts = md.build_constants(series, model_config)
     test_samples = [series.samples[i] for i in series.split.test]
     model_preds = [md.predict(series, consts, s, store, model_config) for s in test_samples]
     mom_preds = [mom_baseline(series.monthly, series.catalogs, s.target_month,
                               model_config.k_percent) for s in test_samples]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     reports = {}
     for name, preds in (("model", model_preds), ("mom", mom_preds)):
         report = evaluate_predictions(preds, test_samples, series.catalogs, top_n=args.top)
@@ -295,33 +295,6 @@ def cmd_predict(args) -> int:
     for k, community in enumerate(series.catalogs.communities):
         tags = " ".join(series.catalogs.attributes[j] for j in top[k])
         print(f"{community}: {tags}")
-    return 0
-
-
-def cmd_sweep_alpha(args) -> int:
-    model_config, _ = _load_configs(args)
-    series = _load_series(args.data, model_config)
-    if not series.split.test:
-        raise DataError("no test window available")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    consts = md.build_constants(series, model_config)
-    test_samples = [series.samples[i] for i in series.split.test]
-    rows = []
-    for alpha in model_config.alpha_grid:
-        cell = dataclasses.replace(model_config, alpha=alpha)
-        result = md.train(series, cell, consts=consts)
-        preds = [md.predict(series, consts, s, result.store, cell) for s in test_samples]
-        aucs, _, _ = community_aucs(preds, test_samples, series.catalogs.n_communities)
-        macro = macro_average(aucs)
-        rows.append({"alpha": alpha, "test_macro_auc": macro,
-                     "validation_auc": result.best_validation_auc})
-        shown = "undefined" if macro is None else f"{macro:.4f}"
-        print(f"alpha {alpha}: test macro AUC {shown}")
-    (out / "sweep_alpha.ndjson").write_text(
-        "\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n",
-        encoding="utf-8", newline="\n")
-    write_resolved(model_config, out)
     return 0
 
 
@@ -369,12 +342,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("sweep-alpha", help="train once per fusion coefficient and tabulate AUC")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_alpha)
 
     return parser
 

@@ -47,20 +47,19 @@ from .errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from .predictions import PredictionMatrix
 from .snapshots import Catalogs, SnapshotSeries, TrendSample
 
-ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 # each recurrent cell's parameters, in registration and ``GruWeights`` field order
 _GRU_NAMES = tuple(f.name for f in fields(tp.GruWeights))
 
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters for one training run; ``alpha_grid`` feeds ``sweep-alpha``."""
+    """Hyperparameters for one training run.  An ablation is one run under
+    other values of ``alpha`` or ``p`` (see the module docstring)."""
 
     d: int = 64
     alpha: float = 0.5
     p: int = 3
     learning_rate: float = 0.005
-    alpha_grid: tuple[float, ...] = ALPHA_GRID
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 10
@@ -72,9 +71,6 @@ class ModelConfig:
     def validate(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.alpha_grid or not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
-            raise ValueError(f"alpha_grid must be a non-empty list of values in [0, 1], "
-                             f"got {self.alpha_grid}")
         for name in ("d", "p", "window_length", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -282,7 +278,7 @@ class TrainResult:
 
 
 def train(series: SnapshotSeries, config: ModelConfig,
-          store: ParameterStore | None = None, consts: GraphConstants | None = None,
+          consts: GraphConstants | None = None,
           log_cb: Callable[[EpochRecord], None] | None = None) -> TrainResult:
     """Mini-batch Adam over attribute chunks with early stopping on validation AUC.
 
@@ -296,8 +292,7 @@ def train(series: SnapshotSeries, config: ModelConfig,
     split = series.split
     if not split.train:
         raise InsufficientHistoryError("the split has no training windows")
-    if store is None:
-        store = initialize(config, series.catalogs)
+    store = initialize(config, series.catalogs)
     if consts is None:
         consts = build_constants(series, config)
     n_attributes = series.catalogs.n_attributes

@@ -24,7 +24,6 @@ TINY = [
     "batch_size=24",
     "max_epochs=3",
     "learning_rate=0.01",
-    "alpha_grid=0.0,1.0",
     "seed=5",
 ]
 
@@ -230,7 +229,7 @@ class TestTrain:
         # the others are keys that older run or data directories' config.resolved hold
         for item in ("nonsense=1", "ar_shared=true", "sales_conv_axis=time", "lr_grid=0.01",
                      "latent_dim=8", "cluster_onsets=true", "sage_layers=2", "hyper_layers=2",
-                     "ablation=gru-only"):
+                     "ablation=gru-only", "alpha_grid=0.0,1.0"):
             code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                              "--set", item])
             assert code == 1, item
@@ -246,8 +245,6 @@ class TestTrain:
         (["generate", "--out", "r", "--set", "months=5"], "months must be >= 13, got 5"),
         (["generate", "--out", "r", "--set", "eligible_band=0.5"],
          "eligible_band must be two values lo,hi, got (0.5,)"),
-        (["sweep-alpha", "--data", "d", "--out", "r", "--set", "alpha_grid=0.5,2"],
-         "alpha_grid must be a non-empty list of values in [0, 1], got (0.5, 2.0)"),
         (["train", "--data", "d", "--out", "r", "--set", "bce_eps=0.7"],
          "bce_eps must be in (0, 0.5), got 0.7"),
         (["train", "--data", "d", "--out", "r", "--set", "bce_eps=-1"],
@@ -261,7 +258,7 @@ class TestTrain:
         (["generate", "--out", "r", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["generate", "--out", "r", "--set", "seed=-1"], "seed must be >= 0, got -1"),
         (["train", "--data", "d", "--out", "r", "--seed", "-1"], "seed must be >= 0, got -1"),
-    ], ids=["alpha", "batch_size", "months", "eligible_band", "alpha_grid",
+    ], ids=["alpha", "batch_size", "months", "eligible_band",
             "bce_eps_above_half", "bce_eps_negative", "surge_factor_nan", "surge_factor_inf",
             "surge_factor_overflow", "seed_generate", "seed_generate_set", "seed_train"])
     def test_invalid_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, named):
@@ -302,6 +299,30 @@ class TestConfigFile:
         code = cli.main(["generate", "--config", str(folder), "--out", str(tmp_path / "d")])
         assert code == 1
         assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
+class TestRemoved:
+    def test_sweep_alpha_is_usage_error(self, tmp_path, capsys):
+        # one run per alpha is train --set alpha=... followed by evaluate
+        code = cli.main(["sweep-alpha", "--data", str(tmp_path), "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'sweep-alpha'" in err
+        assert not (tmp_path / "s").exists()
+
+    def test_alpha_grid_in_a_checkpoint_config_is_usage_error(self, tmp_path, data_dir,
+                                                              run_dir, capsys):
+        # a config.resolved written before the key went holds it after learning_rate
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "model.ckpt").write_bytes((run_dir / "model.ckpt").read_bytes())
+        (old / "config.resolved").write_text((run_dir / "config.resolved").read_text().replace(
+            "\nbatch_size=", "\nalpha_grid=0.0,0.25,0.5,0.75,1.0\nbatch_size="))
+        code = cli.main(["evaluate", "--data", str(data_dir), "--checkpoint",
+                         str(old / "model.ckpt"), "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "unknown config key 'alpha_grid'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestEvaluate:
@@ -473,17 +494,6 @@ class TestPredict:
         assert "predicted" not in captured.out
 
 
-class TestSweepAlpha:
-    def test_one_row_per_alpha(self, tmp_path, tiny_config, data_dir):
-        out = tmp_path / "sweep"
-        code = cli.main(["sweep-alpha", "--config", tiny_config,
-                         "--data", str(data_dir), "--out", str(out)])
-        assert code == 0
-        rows = [json.loads(l) for l in (out / "sweep_alpha.ndjson").read_text().splitlines()]
-        assert [r["alpha"] for r in rows] == [0.0, 1.0]
-        assert all("test_macro_auc" in r for r in rows)
-
-
 def _directory(path):
     path.mkdir(parents=True)
     return path
@@ -525,6 +535,21 @@ class TestPathErrors:
         assert code == 1
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, work", [("ingest", "ingest"), ("evaluate", "predict")])
+    def test_out_is_made_before_the_work(self, tmp_path, data_dir, run_dir, monkeypatch,
+                                         capsys, command, work):
+        def reached(*args, **kwargs):
+            raise AssertionError(f"{command} ran {work} before it made --out")
+
+        monkeypatch.setattr(cli if work == "ingest" else cli.md, work, reached)
+        argv = {"ingest": ["ingest", "--input", str(data_dir / "interactions.csv")],
+                "evaluate": ["evaluate", "--data", str(data_dir),
+                             "--checkpoint", str(run_dir / "model.ckpt")]}[command]
+        out = _file(tmp_path / "out")
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
 
 
 class TestDeterminism:

@@ -24,11 +24,6 @@ def zeroed_store(config, catalogs):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("grid", [(), (0.5, 2.0), (-0.25,)])
-    def test_alpha_grid_must_be_non_empty_and_within_0_1(self, grid):
-        with pytest.raises(ValueError, match=r"alpha_grid must be a non-empty list"):
-            replace(SMALL, alpha_grid=grid).validate()
-
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.001])
     def test_learning_rate_must_be_finite_and_non_negative(self, rate):
         with pytest.raises(ValueError, match=r"learning_rate must be finite and >= 0"):
