@@ -204,7 +204,8 @@ def cmd_train(args) -> int:
     # the BLAS thread count changes the trained bytes, so the run records it
     threads = "unset" if ad.BLAS_THREADS is None else ad.BLAS_THREADS
     write_resolved(model_config, out, notes={"blas_threads": threads})
-    best = "-" if result.best_validation_auc is None else f"{result.best_validation_auc:.4f}"
+    best = ("-" if result.best_epoch is None
+            else f"{result.best_validation_auc:.4f} at epoch {result.best_epoch}")
     print(f"saved checkpoint to {out / CHECKPOINT_NAME} (best validation AUC {best})")
     return 0
 
@@ -256,8 +257,8 @@ def cmd_evaluate(args) -> int:
     consts = md.build_constants(series, model_config)
     test_samples = [series.samples[i] for i in series.split.test]
     model_preds = [md.predict(series, consts, s, store, model_config) for s in test_samples]
-    mom_preds = [mom_baseline(series.monthly, series.catalogs, s.target_month,
-                              model_config.k_percent) for s in test_samples]
+    mom_preds = [mom_baseline(series.monthly, series.catalogs, s.target_month)
+                 for s in test_samples]
     reports = {}
     for name, preds in (("model", model_preds), ("mom", mom_preds)):
         report = evaluate_predictions(preds, test_samples, series.catalogs, top_n=args.top)

@@ -80,15 +80,13 @@ def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return left, right
 
 
-def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node, mix: Node,
-                     rows: tuple[int, int] | None = None) -> Node:
-    """Hypergraph attribute encoding of the attributes in ``rows`` (default all).
+def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node, mix: Node) -> Node:
+    """Hypergraph attribute encoding: relu(left @ (right @ (X @ mix))).
 
     ``factors`` holds the month's ``hypergraph_operator_factors`` as
-    constants and ``attribute_features`` X covers every attribute, because
-    ``right`` reads them all; the result is relu(left[rows] @ (right @ (X @ mix))).
+    constants, ``left`` cut to the rows of the attributes to encode.
+    ``attribute_features`` X covers every attribute, because ``right`` reads
+    them all.
     """
     left, right = factors
-    if rows is not None:
-        left = ad.slice_block(left, rows, (0, left.cols))
     return ad.relu(ad.matmul(left, ad.matmul(right, ad.matmul(attribute_features, mix))))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, UndefinedAucError
 from .predictions import PredictionMatrix
-from .snapshots import Catalogs, MonthlySales, TrendSample, rank_lists_for_sales
+from .snapshots import Catalogs, MonthlySales, TrendSample
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -94,31 +94,22 @@ class EvalReport:
 
 def community_aucs(predictions: list[PredictionMatrix], samples: list[TrendSample],
                    n_communities: int) -> tuple[list[float | None], list[int], list[int]]:
-    """Per-community AUC over valid (attribute, label) pairs, pooled across samples."""
-    per_scores: list[list[np.ndarray]] = [[] for _ in range(n_communities)]
-    per_labels: list[list[np.ndarray]] = [[] for _ in range(n_communities)]
-    for pred, sample in zip(predictions, samples):
-        for k in range(n_communities):
-            mask = sample.validity[k] > 0
-            if mask.any():
-                per_scores[k].append(pred.scores[k][mask])
-                per_labels[k].append(sample.labels[k][mask])
+    """Per-community AUC over valid (attribute, label) pairs, pooled across
+    samples in sample order."""
+    # communities x samples x attributes, so row k pools community k's pairs
+    scores = np.stack([pred.scores for pred in predictions], axis=1)
+    labels = np.stack([sample.labels for sample in samples], axis=1)
+    valid = np.stack([sample.validity for sample in samples], axis=1) > 0
     aucs: list[float | None] = []
     positives: list[int] = []
     negatives: list[int] = []
     for k in range(n_communities):
-        if per_scores[k]:
-            scores = np.concatenate(per_scores[k])
-            labels = np.concatenate(per_labels[k])
-        else:
-            scores = np.empty(0)
-            labels = np.empty(0)
-        n_pos = int((labels > 0).sum())
-        n_neg = int(labels.size - n_pos)
+        pooled = labels[k][valid[k]]
+        n_pos = int((pooled > 0).sum())
         positives.append(n_pos)
-        negatives.append(n_neg)
+        negatives.append(pooled.size - n_pos)
         try:
-            aucs.append(auc(scores, labels))
+            aucs.append(auc(scores[k][valid[k]], pooled))
         except UndefinedAucError:
             aucs.append(None)
     return aucs, positives, negatives
@@ -146,18 +137,18 @@ def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[Tren
 
 def mom_baseline(monthly: MonthlySales, catalogs: Catalogs,
                  target_month: int, k_percent: float = 50.0) -> PredictionMatrix:
-    """Month-on-month baseline: last month's top list is next month's forecast.
+    """Month-on-month baseline: last month's sales are next month's forecast.
 
     Scores are the previous month's sales min-max scaled to [0, 1] per
-    community so AUC is computable.  The attached ranked lists are the
-    previous month's top-K% lists.
+    community, which keeps their order, so AUC is computable and the top
+    lists are the previous month's sales order.  ``catalogs`` and
+    ``k_percent`` are not read.
     """
     prev = target_month - 1
     sales = monthly.month(prev)
     if sales is None:
         raise DataError(f"month {prev} needed by the month-on-month baseline is missing")
-    lists = rank_lists_for_sales(sales, k_percent)
     lo = sales.min(axis=1, keepdims=True)
     spread = sales.max(axis=1, keepdims=True) - lo
     scores = np.divide(sales - lo, spread, out=np.zeros_like(sales), where=spread > 0)
-    return PredictionMatrix(scores=scores, target_month=target_month, ranked_lists=lists)
+    return PredictionMatrix(scores=scores, target_month=target_month)

@@ -231,9 +231,8 @@ def _fused_input(consts: GraphConstants, i: int, rows: tuple[int, int], config: 
                               batch_sales, w_agg, w_update)
         parts.append(ad.scale(bip, 1.0 - config.alpha))
     if config.alpha > 0.0:
-        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[i]),
-                                    ad.constant(consts.hyper_right[i])),
-                                   sales, mix, rows)
+        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[i][a0:a1]),
+                                    ad.constant(consts.hyper_right[i])), sales, mix)
         parts.append(ad.scale(hyp, config.alpha))
     parts.append(batch_sales)
     x = parts[0]

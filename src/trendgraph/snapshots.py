@@ -341,13 +341,6 @@ def top_k_membership(sales: np.ndarray, k_percent: float) -> np.ndarray:
     return member
 
 
-def rank_lists_for_sales(sales: np.ndarray, k_percent: float) -> list[list[int]]:
-    """Per-community top-K% attribute lists, best first: each row's members
-    (``top_k_membership``) in ``descending_order``."""
-    counts = top_k_membership(sales, k_percent).sum(axis=-1).tolist()
-    return [row[:n] for row, n in zip(descending_order(sales).tolist(), counts)]
-
-
 def build_windows(monthly: MonthlySales, catalogs: Catalogs,
                   window_length: int = 12, k_percent: float = 50.0
                   ) -> tuple[list[TrendSample], Split]:

@@ -183,6 +183,16 @@ class TestTrain:
         assert set(record) == {"epoch", "train_loss", "validation_auc"}
         assert (run_dir / "config.resolved").exists()
 
+    def test_reports_the_first_epoch_of_the_best_validation_auc(self, capsys, run_dir):
+        # capsys is set up before run_dir, so it holds the training run's console
+        records = [json.loads(line)
+                   for line in (run_dir / "epochs.ndjson").read_text().splitlines()]
+        best = max(record["validation_auc"] for record in records)
+        epoch = next(r["epoch"] for r in records if r["validation_auc"] == best)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"saved checkpoint to {run_dir / 'model.ckpt'} "
+            f"(best validation AUC {best:.4f} at epoch {epoch})")
+
     @pytest.mark.parametrize("environ, recorded", [
         ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
         ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "2"),

@@ -119,7 +119,8 @@ class TestMomBaseline:
         with pytest.raises(DataError, match="month 0"):
             ev.mom_baseline(self.monthly(), catalogs, 1, 50)
 
-    def test_ranked_lists_share_label_oracle_path(self):
+    def test_top_lists_are_the_previous_months_sales_order(self):
+        # past the top-K% count too: every scorer's top list is its score order
         rng = np.random.default_rng(17)
         for _ in range(30):
             n_c, n_a = int(rng.integers(1, 4)), int(rng.integers(1, 8))
@@ -129,12 +130,47 @@ class TestMomBaseline:
             for k in range(n_c):
                 for j in range(n_a):
                     if rng.random() < 0.7:
-                        tuples.append((4, f"c{k}", f"a{j}", int(rng.integers(1, 30))))
+                        tuples.append((4, f"c{k}", f"a{j}", int(rng.integers(1, 6))))
             tuples.append((5, "c0", "a0", 1))
             monthly = monthly_from_tuples(tuples, catalogs)
             pred = ev.mom_baseline(monthly, catalogs, 5, 50)
-            sales = monthly.month(4)
-            assert pred.ranked_lists == snap.rank_lists_for_sales(sales, 50)
+            order = snap.descending_order(monthly.month(4))
+            for n in range(1, n_a + 1):
+                assert pred.top_lists(n) == order[:, :n].tolist()
+
+
+def per_sample_community_aucs(predictions, samples, n_communities):
+    """Each community's valid pairs gathered sample by sample, then concatenated."""
+    aucs, positives, negatives = [], [], []
+    for k in range(n_communities):
+        masks = [sample.validity[k] > 0 for sample in samples]
+        scores = np.concatenate([p.scores[k][m] for p, m in zip(predictions, masks)])
+        labels = np.concatenate([s.labels[k][m] for s, m in zip(samples, masks)])
+        positives.append(int((labels > 0).sum()))
+        negatives.append(int((labels <= 0).sum()))
+        try:
+            aucs.append(ev.auc(scores, labels))
+        except UndefinedAucError:
+            aucs.append(None)
+    return aucs, positives, negatives
+
+
+class TestCommunityAucs:
+    def test_pooled_pairs_match_the_per_sample_loop_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n_s, n_c, n_a = (int(v) for v in rng.integers(1, [4, 5, 9]))
+            predictions, samples = [], []
+            for t in range(n_s):
+                labels = (rng.random((n_c, n_a)) < 0.4).astype(float)
+                validity = (rng.random((n_c, n_a)) < 0.7).astype(float)
+                validity[rng.random(n_c) < 0.2] = 0.0              # rows without valid pairs
+                scores = rng.integers(0, 4, size=(n_c, n_a)) / 3    # ties are common
+                predictions.append(PredictionMatrix(scores=scores, target_month=t + 2))
+                samples.append(snap.TrendSample(window_months=(t + 1,), target_month=t + 2,
+                                                labels=labels, validity=validity))
+            want = per_sample_community_aucs(predictions, samples, n_c)
+            assert ev.community_aucs(predictions, samples, n_c) == want
 
 
 class TestEvaluatePredictions:
@@ -211,9 +247,6 @@ class TestPredictionMatrix:
 
     def test_top_lists_refuse_lengths_below_one(self):
         pred = PredictionMatrix(scores=np.array([[0.1, 0.9, 0.5]]), target_month=1)
-        ranked = PredictionMatrix(scores=np.array([[0.1, 0.9, 0.5]]), target_month=1,
-                                  ranked_lists=[[1, 2, 0]])
-        for matrix in (pred, ranked):
-            for n in (0, -1):
-                with pytest.raises(ValueError, match="at least 1"):
-                    matrix.top_lists(n)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                pred.top_lists(n)

@@ -438,7 +438,9 @@ class TestLabels:
         monthly = monthly_from_tuples(tuples, catalogs)
         labels, validity = window_labels(monthly, catalogs, 13, 50)
         np.testing.assert_array_equal(labels, [[0.0, 1.0, 0.0, 0.0]])
-        assert snap.rank_lists_for_sales(monthly.month(13), 50) == [[0, 1]]
+        sales = monthly.month(13)
+        assert snap.descending_order(sales).tolist() == [[0, 1, 2, 3]]
+        assert snap.top_k_membership(sales, 50).tolist() == [[True, True, False, False]]
         assert validity.all()
 
     def test_no_sales_no_labels(self):
@@ -539,18 +541,18 @@ class TestRanking:
     @pytest.mark.parametrize("shape", RANK_SHAPES, ids=str)
     def test_membership_and_rank_lists_match_the_per_row_loop(self, shape):
         for i, sales in enumerate(tied_matrices(2, 120, shape)):
+            order = snap.descending_order(sales).tolist()
             for k_percent in K_PERCENTS[i % 3::3]:
-                want = reference_rank_lists(sales, k_percent)
-                assert snap.rank_lists_for_sales(sales, k_percent) == want, (i, k_percent)
-                member = np.zeros(sales.shape, dtype=bool)
-                for k, top in enumerate(want):
-                    member[k, top] = True
-                np.testing.assert_array_equal(snap.top_k_membership(sales, k_percent), member)
+                member = snap.top_k_membership(sales, k_percent)
+                for k, want in enumerate(reference_rank_lists(sales, k_percent)):
+                    # a row's rank list is its members in order, and they lead the order
+                    got = [j for j in order[k] if member[k, j]]
+                    assert got == want == order[k][:len(want)], (i, k_percent, k)
 
     def test_all_zero_rows_have_empty_lists(self):
         sales = np.zeros((3, 4))
-        assert snap.rank_lists_for_sales(sales, 100) == [[], [], []]
         assert not snap.top_k_membership(sales, 100).any()
+        assert snap.descending_order(sales).tolist() == [[0, 1, 2, 3]] * 3
 
     def test_a_stacked_tensor_ranks_each_month_as_alone(self):
         months = np.stack(list(tied_matrices(3, 9, (4, 7))))
@@ -563,7 +565,7 @@ class TestRanking:
     @pytest.mark.parametrize("k_percent", [0, -5, 100.5])
     def test_k_outside_its_range_is_refused(self, k_percent):
         with pytest.raises(ValueError, match="k_percent must be in"):
-            snap.rank_lists_for_sales(np.ones((1, 2)), k_percent)
+            snap.top_k_membership(np.ones((1, 2)), k_percent)
 
     def test_window_labels_match_the_per_row_loop(self):
         rng = np.random.default_rng(43)
