@@ -9,6 +9,14 @@ eager and deterministic: identical inputs produce bit-identical outputs.
 Gradients accumulate additively; callers zero them between optimizer steps.
 ``backward`` consumes the graph it walks: only parameters keep a gradient.
 
+The primitives here are the ones the model composes.  Where a chain of
+them would keep intermediates that no backward rule reads, the layer is
+one node with a hand-written rule that keeps only what the rule reads:
+``affine_relu_block_mean`` and ``weighted_sum`` here, the two encoders in
+``encoders`` and the recurrent rollouts in ``temporal``.  Each runs its
+chain's arithmetic in the chain's order, so values are bit-identical, and
+the tests keep the composed chain as its oracle.
+
 When BLAS leaves a usable CPU free (at least 2 CPUs, BLAS pinned to fewer
 threads than that), one worker thread runs beside the caller, and ``fork``
 is the one way to use it: independent parts of a graph run half on the
@@ -256,15 +264,29 @@ def hadamard(a: Node, b: Node) -> Node:
     return Node(value, op="hadamard", parents=(a, b), backward=backward)
 
 
-def scale(a: Node, factor: float) -> Node:
-    factor = float(factor)
-    value = a.value * factor
+def weighted_sum(nodes: Sequence[Node], weights: Sequence[float]) -> Node:
+    """``weights[0] * nodes[0] + weights[1] * nodes[1] + ...``, added left to
+    right, over nodes of one shape.
+
+    Values equal those of scaling each node and adding the products in
+    order, bit for bit; backward keeps only the weights.
+    """
+    shape = nodes[0].value.shape
+    if len(nodes) != len(weights) or any(n.value.shape != shape for n in nodes):
+        raise ShapeMismatchError(
+            f"weighted_sum: {len(weights)} weights for nodes of shapes "
+            f"{[n.value.shape for n in nodes]}")
+    weights = [float(w) for w in weights]
+    value = nodes[0].value * weights[0]
+    for node, weight in zip(nodes[1:], weights[1:]):
+        value += node.value * weight
 
     def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_owned(g * factor)
+        for node, weight in zip(nodes, weights):
+            if node.needs_grad:
+                node.accumulate_owned(g * weight)
 
-    return Node(value, op="scale", parents=(a,), backward=backward)
+    return Node(value, op="weighted_sum", parents=tuple(nodes), backward=backward)
 
 
 def transpose(a: Node) -> Node:
@@ -275,21 +297,6 @@ def transpose(a: Node) -> Node:
             a.accumulate_grad(g.T)
 
     return Node(value, op="transpose", parents=(a,), backward=backward)
-
-
-def concat_cols(a: Node, b: Node) -> Node:
-    if a.rows != b.rows:
-        raise ShapeMismatchError(f"concat_cols: shapes {a.value.shape} and {b.value.shape} do not conform")
-    value = np.hstack([a.value, b.value])
-    split = a.cols
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_grad(g[:, :split])
-        if b.needs_grad:
-            b.accumulate_grad(g[:, split:])
-
-    return Node(value, op="concat_cols", parents=(a, b), backward=backward)
 
 
 def logistic(x: Matrix) -> Matrix:
@@ -315,35 +322,6 @@ def sigmoid(a: Node) -> Node:
             a.accumulate_owned(g * value * (1.0 - value))
 
     return Node(value, op="sigmoid", parents=(a,), backward=backward)
-
-
-def relu(a: Node) -> Node:
-    value = np.maximum(a.value, 0.0)
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            a.accumulate_owned(g * (a.value > 0.0))
-
-    return Node(value, op="relu", parents=(a,), backward=backward)
-
-
-def row_l2_normalize(a: Node) -> Node:
-    """Scale each row to unit Euclidean norm; all-zero rows pass through.
-
-    Backward treats zero rows as an identity map (the normalization is not
-    differentiable at the origin, and zero rows stay zero in the forward).
-    """
-    x = a.value
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    value = x / safe
-
-    def backward(g: Matrix) -> None:
-        if a.needs_grad:
-            inner = (g * value).sum(axis=1, keepdims=True)
-            a.accumulate_owned((g - value * inner) / safe)
-
-    return Node(value, op="row_l2_normalize", parents=(a,), backward=backward)
 
 
 def slice_block(a: Node, rows: tuple[int, int], cols: tuple[int, int]) -> Node:

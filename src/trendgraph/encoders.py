@@ -17,14 +17,23 @@ concatenated with the attribute's own features, then L2 normalization).
 The hypergraph encoder applies the symmetrically normalized
 node-hyperedge-node convolution of HGNN.  Community embeddings are
 read-only in both encoders; only attribute representations evolve.
+
+Each encoder is one autodiff node with a hand-written backward, as the
+recurrent rollouts in ``temporal`` are, and not a chain of matmul, ReLU
+and normalization nodes: the model encodes every month of its window, and
+the chain kept each product for a backward rule that never reads it.  The
+bipartite node keeps its output, the row norms, the ReLU's sign (one byte
+per entry) and the neighbor mean; the hypergraph node keeps its output
+alone.  Values equal the chain's bit for bit, and the tests keep the chain
+as the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Node
+from .errors import ShapeMismatchError
 
 
 def neighbor_mean_matrix(sales: np.ndarray) -> np.ndarray:
@@ -48,11 +57,56 @@ def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Nod
     ``aggregator`` is the month's ``neighbor_mean_matrix`` as a constant.
     The sales-weighted mean of neighbor community embeddings (times
     ``w_agg``) is concatenated with ``attribute_features``; ``w_update`` and
-    ReLU map that to the encoding, whose rows are L2-normalized.
+    ReLU map that to the encoding, whose rows are L2-normalized (all-zero
+    rows stay zero, and backward treats them as an identity map).
+
+    One autodiff node: the arithmetic is that of the composed chain
+    ``normalize(relu(concat(X, A @ (E @ w_agg)) @ w_update))``, operation
+    for operation, so values equal the chain's bit for bit.  For backward it
+    keeps its output, the row norms, the ReLU's sign as a one-byte mask and
+    the neighbor mean; the concatenation lives only during the forward.
+    Over constants it keeps none of these and builds no graph.
     """
-    neighbor = ad.matmul(aggregator, ad.matmul(community_embed, w_agg))
-    return ad.row_l2_normalize(ad.relu(ad.matmul(ad.concat_cols(attribute_features, neighbor),
-                                                 w_update)))
+    x = attribute_features
+    rows, split = x.value.shape
+    if (aggregator.value.shape != (rows, community_embed.rows)
+            or w_agg.rows != community_embed.cols
+            or w_update.rows != split + w_agg.cols):
+        raise ShapeMismatchError(
+            f"sage_encode: shapes {aggregator.value.shape}, {community_embed.value.shape}, "
+            f"{x.value.shape}, {w_agg.value.shape} and {w_update.value.shape} do not conform")
+    params = (aggregator, community_embed, x, w_agg, w_update)
+    train = any(p.needs_grad for p in params)
+    neighbor = aggregator.value @ (community_embed.value @ w_agg.value)
+    value = np.hstack([x.value, neighbor]) @ w_update.value
+    np.maximum(value, 0.0, out=value)
+    mask = value > 0.0 if train else None
+    norms = np.sqrt((value * value).sum(axis=1, keepdims=True))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    value /= safe
+    if not train:
+        return Node(value, op="sage_encode")
+    from_neighbor = community_embed.needs_grad or w_agg.needs_grad
+
+    def backward(g: np.ndarray) -> None:
+        inner = (g * value).sum(axis=1, keepdims=True)
+        gz = (g - value * inner) / safe
+        np.multiply(gz, mask, out=gz)
+        if x.needs_grad or from_neighbor:
+            gc = gz @ w_update.value.T
+            if x.needs_grad:
+                x.accumulate_grad(gc[:, :split])
+            if from_neighbor:
+                gp = aggregator.value.T @ np.ascontiguousarray(gc[:, split:])
+                del gc
+                if community_embed.needs_grad:
+                    community_embed.accumulate_owned(gp @ w_agg.value.T)
+                if w_agg.needs_grad:
+                    w_agg.accumulate_owned(community_embed.value.T @ gp)
+        if w_update.needs_grad:
+            w_update.accumulate_owned(np.vstack([x.value.T @ gz, neighbor.T @ gz]))
+
+    return Node(value, op="sage_encode", parents=params, backward=backward)
 
 
 def hypergraph_operator_factors(sales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +141,25 @@ def hyperconv_encode(factors: tuple[Node, Node], attribute_features: Node, mix: 
     constants, ``left`` cut to the rows of the attributes to encode.
     ``attribute_features`` X covers every attribute, because ``right`` reads
     them all.
+
+    One autodiff node with the chain's arithmetic in the chain's order.  It
+    keeps only its output, whose positive entries are the ReLU's mask, and
+    reads X, ``mix`` and the factors from its parents during backward.
     """
     left, right = factors
-    return ad.relu(ad.matmul(left, ad.matmul(right, ad.matmul(attribute_features, mix))))
+    x = attribute_features
+    if (left.cols != right.rows or right.cols != x.rows or x.cols != mix.rows):
+        raise ShapeMismatchError(
+            f"hyperconv_encode: shapes {left.value.shape}, {right.value.shape}, "
+            f"{x.value.shape} and {mix.value.shape} do not conform")
+    value = left.value @ (right.value @ (x.value @ mix.value))
+    np.maximum(value, 0.0, out=value)
+
+    def backward(g: np.ndarray) -> None:
+        g_xm = right.value.T @ (left.value.T @ (g * (value > 0.0)))
+        if x.needs_grad:
+            x.accumulate_owned(g_xm @ mix.value.T)
+        if mix.needs_grad:
+            mix.accumulate_owned(x.value.T @ g_xm)
+
+    return Node(value, op="hyperconv_encode", parents=(left, right, x, mix), backward=backward)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UndefinedAucError
+from .errors import DataError, ShapeMismatchError, UndefinedAucError
 from .predictions import PredictionMatrix
 from .snapshots import Catalogs, MonthlySales, TrendSample
 
@@ -92,18 +92,26 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def community_aucs(predictions: list[PredictionMatrix], samples: list[TrendSample],
-                   n_communities: int) -> tuple[list[float | None], list[int], list[int]]:
+def community_aucs(predictions: list[PredictionMatrix], samples: list[TrendSample]
+                   ) -> tuple[list[float | None], list[int], list[int]]:
     """Per-community AUC over valid (attribute, label) pairs, pooled across
-    samples in sample order."""
+    samples in sample order, for every community the scores hold.
+
+    Raises ``ShapeMismatchError`` naming both shapes when the stacked
+    predictions and the stacked samples differ in shape.
+    """
     # communities x samples x attributes, so row k pools community k's pairs
     scores = np.stack([pred.scores for pred in predictions], axis=1)
     labels = np.stack([sample.labels for sample in samples], axis=1)
+    if scores.shape != labels.shape:
+        raise ShapeMismatchError(
+            f"community_aucs: predictions stack to {scores.shape} and samples to "
+            f"{labels.shape} (communities x samples x attributes)")
     valid = np.stack([sample.validity for sample in samples], axis=1) > 0
     aucs: list[float | None] = []
     positives: list[int] = []
     negatives: list[int] = []
-    for k in range(n_communities):
+    for k in range(scores.shape[0]):
         pooled = labels[k][valid[k]]
         n_pos = int((pooled > 0).sum())
         positives.append(n_pos)
@@ -125,7 +133,7 @@ def evaluate_predictions(predictions: list[PredictionMatrix], samples: list[Tren
     """Score a prediction set against its samples and emit the report."""
     if not predictions or len(predictions) != len(samples):
         raise ValueError("need one prediction per sample")
-    aucs, positives, negatives = community_aucs(predictions, samples, catalogs.n_communities)
+    aucs, positives, negatives = community_aucs(predictions, samples)
     top = predictions[0].top_lists(top_n)
     rows = []
     for k, community in enumerate(catalogs.communities):

@@ -24,9 +24,10 @@ stores are byte-identical with or without the worker.
 The ablations are settings of the fusion weight and the skip length:
 ``alpha = 0`` runs the bipartite encoder alone and ``alpha = 1`` the
 hypergraph encoder alone, because an encoder whose weight is zero is not
-run; ``p = 1`` drops the skip cell and reduces the combiner to its
-recent-state path.  Every parameter keeps its slot at any ``alpha``, so a
-checkpoint loads under any fusion weight.
+run and ``build_constants`` does not build its operators; ``p = 1`` drops
+the skip cell and reduces the combiner to its recent-state path.  Every
+parameter keeps its slot at any ``alpha``, so a checkpoint loads under any
+fusion weight.
 """
 
 from __future__ import annotations
@@ -129,26 +130,30 @@ def _gru_params(store: ParameterStore, prefix: str) -> tuple[Node, ...]:
 @dataclass
 class GraphConstants:
     """Arrays derived once from the sales tensor and reused every step, each
-    stacked over the months: index ``m - first_month`` holds month ``m``."""
+    stacked over the months: index ``m - first_month`` holds month ``m``.
+    An encoder's operators are built only when its fusion weight is not 0."""
 
     first_month: int
-    aggregator: np.ndarray      # months x attributes x communities
-    hyper_left: np.ndarray      # months x attributes x communities
-    hyper_right: np.ndarray     # months x communities x attributes
-    patches: np.ndarray         # months x (attributes * positions) x CONV_WIDTH
+    aggregator: np.ndarray | None   # months x attributes x communities; None at alpha = 1
+    hyper_left: np.ndarray | None   # months x attributes x communities; None at alpha = 0
+    hyper_right: np.ndarray | None  # months x communities x attributes; None at alpha = 0
+    patches: np.ndarray             # months x (attributes * positions) x CONV_WIDTH
     positions: int
-    scaled: np.ndarray          # months x communities x attributes
+    scaled: np.ndarray              # months x communities x attributes
 
 
 def build_constants(series: SnapshotSeries, config: ModelConfig) -> GraphConstants:
+    """The graph constants of every month of ``series`` for the encoders that
+    ``config.alpha`` runs."""
     sales = series.monthly.sales
     scaled = tp.scale_sales(sales)
-    hyper_left, hyper_right = enc.hypergraph_operator_factors(sales)
+    hyper_left, hyper_right = (enc.hypergraph_operator_factors(sales) if config.alpha > 0.0
+                               else (None, None))
     patches, positions = tp.sales_patch_matrix(scaled)
-    return GraphConstants(first_month=series.monthly.first_month,
-                          aggregator=enc.neighbor_mean_matrix(sales), hyper_left=hyper_left,
-                          hyper_right=hyper_right, patches=patches, positions=positions,
-                          scaled=scaled)
+    aggregator = enc.neighbor_mean_matrix(sales) if config.alpha < 1.0 else None
+    return GraphConstants(first_month=series.monthly.first_month, aggregator=aggregator,
+                          hyper_left=hyper_left, hyper_right=hyper_right, patches=patches,
+                          positions=positions, scaled=scaled)
 
 
 def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
@@ -174,6 +179,13 @@ def forward(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
             f"sample window months {sample.window_months[0]}..{sample.window_months[-1]} "
             f"are not all among the constants' {len(consts.scaled)} months "
             f"from {consts.first_month}")
+    needed = {"aggregator": config.alpha < 1.0, "hyper_left": config.alpha > 0.0,
+              "hyper_right": config.alpha > 0.0}
+    missing = [name for name, need in needed.items() if need and getattr(consts, name) is None]
+    if missing:
+        raise ValueError(
+            f"alpha={config.alpha} runs an encoder whose graph constants "
+            f"{', '.join(missing)} were not built; build the constants under this alpha")
     catalogs = series.catalogs
     n_attributes = catalogs.n_attributes
     a0, a1 = rows = attr_range if attr_range is not None else (0, n_attributes)
@@ -225,20 +237,17 @@ def _fused_input(consts: GraphConstants, i: int, rows: tuple[int, int], config: 
     sales = tp.embed_sales_batch(ad.constant(consts.patches[i]), consts.positions,
                                  kernel, conv_bias)
     batch_sales = ad.slice_block(sales, rows, (0, config.d))
-    parts: list[Node] = []
+    terms: list[Node] = []
+    weights: list[float] = []
     if config.alpha < 1.0:
-        bip = enc.sage_encode(ad.constant(consts.aggregator[i][a0:a1]), community_embed,
-                              batch_sales, w_agg, w_update)
-        parts.append(ad.scale(bip, 1.0 - config.alpha))
+        terms.append(enc.sage_encode(ad.constant(consts.aggregator[i][a0:a1]), community_embed,
+                                     batch_sales, w_agg, w_update))
+        weights.append(1.0 - config.alpha)
     if config.alpha > 0.0:
-        hyp = enc.hyperconv_encode((ad.constant(consts.hyper_left[i][a0:a1]),
-                                    ad.constant(consts.hyper_right[i])), sales, mix)
-        parts.append(ad.scale(hyp, config.alpha))
-    parts.append(batch_sales)
-    x = parts[0]
-    for part in parts[1:]:
-        x = ad.add(x, part)
-    return x
+        terms.append(enc.hyperconv_encode((ad.constant(consts.hyper_left[i][a0:a1]),
+                                           ad.constant(consts.hyper_right[i])), sales, mix))
+        weights.append(config.alpha)
+    return ad.weighted_sum([*terms, batch_sales], [*weights, 1.0])
 
 
 def predict(series: SnapshotSeries, consts: GraphConstants, sample: TrendSample,
@@ -328,7 +337,7 @@ def train(series: SnapshotSeries, config: ModelConfig,
             preds = [predict(series, consts, series.samples[i], store, config)
                      for i in split.valid]
             samples = [series.samples[i] for i in split.valid]
-            aucs, _, _ = ev.community_aucs(preds, samples, series.catalogs.n_communities)
+            aucs, _, _ = ev.community_aucs(preds, samples)
             validation_auc = ev.macro_average(aucs)
         record = EpochRecord(epoch=epoch, train_loss=total_loss,
                              validation_auc=validation_auc,

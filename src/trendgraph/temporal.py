@@ -123,7 +123,8 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     one (k * rows) x d step.  The states live in one (steps * rows) x d
     buffer; the returned per-step nodes are views of its row blocks.  When
     nothing needs a gradient, neither gate values nor a graph are kept.
-    The backward frees each block's gate values once it has read them.
+    Backward stacks a block's inputs again rather than keeping the stacked
+    copy, and frees each block's gate values once it has read them.
     """
     if not inputs:
         raise ValueError("a recurrent rollout needs at least one step")
@@ -147,10 +148,14 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
         """Rows of the k steps from t0 in the stacked buffers."""
         return slice(t0 * rows, (t0 + k) * rows)
 
+    def stacked_inputs(t0: int, k: int) -> np.ndarray:
+        """The inputs of the k steps from t0, one above the other."""
+        return inputs[t0].value if k == 1 else np.vstack([x.value for x in inputs[t0:t0 + k]])
+
     cache = []
     for t0 in range(0, steps, skip):
         k = min(skip, steps - t0)
-        x = inputs[t0].value if k == 1 else np.vstack([x.value for x in inputs[t0:t0 + k]])
+        x = stacked_inputs(t0, k)
         h = states[block(t0 - skip, k)] if t0 else None
         r = x @ w.w_xr.value
         z = x @ w.w_xu.value
@@ -176,7 +181,7 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
         out *= z
         out += n
         if train:
-            cache.append((t0, k, x, h, r, z, n, q))
+            cache.append((t0, k, h, r, z, n, q))
     if not train:
         return [Node(states[block(t, 1)], op="gru_state") for t in range(steps)]
 
@@ -190,7 +195,7 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
                 grads[id(p)] += value
 
         while cache:  # newest block first; each block's gate values are freed once read
-            t0, k, x, h, r, z, n, q = cache.pop()
+            t0, k, h, r, z, n, q = cache.pop()
             dh = g[block(t0, k)]
             d_n = dh * (1.0 - z)
             d_n *= 1.0 - n * n
@@ -203,9 +208,11 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
             add_grad(w.b_r, d_r.sum(axis=0))
             add_grad(w.b_u, d_z.sum(axis=0))
             add_grad(w.b_c, d_q.sum(axis=0))
+            x = stacked_inputs(t0, k)  # stacked again: a kept copy would double the inputs
             add_grad(w.w_xr, x.T @ d_r)
             add_grad(w.w_xu, x.T @ d_z)
             add_grad(w.w_xc, x.T @ d_n)
+            del x
             stacked = inputs[t0:t0 + k]
             if any(node.needs_grad for node in stacked):
                 d_x = d_r @ w.w_xr.value.T

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trendgraph import autodiff as ad
+from trendgraph.errors import ShapeMismatchError
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
 
@@ -49,6 +50,86 @@ def sparse_sales_stack(rng, n_months, n_communities, n_attributes):
     sales[0, 0] = 0
     sales[1] = 0
     return sales
+
+
+def scale(a, factor):
+    factor = float(factor)
+    value = a.value * factor
+
+    def backward(g):
+        if a.needs_grad:
+            a.accumulate_owned(g * factor)
+
+    return ad.Node(value, op="scale", parents=(a,), backward=backward)
+
+
+def concat_cols(a, b):
+    if a.rows != b.rows:
+        raise ShapeMismatchError(f"concat_cols: shapes {a.value.shape} and {b.value.shape} do not conform")
+    value = np.hstack([a.value, b.value])
+    split = a.cols
+
+    def backward(g):
+        if a.needs_grad:
+            a.accumulate_grad(g[:, :split])
+        if b.needs_grad:
+            b.accumulate_grad(g[:, split:])
+
+    return ad.Node(value, op="concat_cols", parents=(a, b), backward=backward)
+
+
+def relu(a):
+    value = np.maximum(a.value, 0.0)
+
+    def backward(g):
+        if a.needs_grad:
+            a.accumulate_owned(g * (a.value > 0.0))
+
+    return ad.Node(value, op="relu", parents=(a,), backward=backward)
+
+
+def row_l2_normalize(a):
+    """Scale each row to unit Euclidean norm; all-zero rows pass through.
+
+    Backward treats zero rows as an identity map (the normalization is not
+    differentiable at the origin, and zero rows stay zero in the forward).
+    """
+    x = a.value
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    value = x / safe
+
+    def backward(g):
+        if a.needs_grad:
+            inner = (g * value).sum(axis=1, keepdims=True)
+            a.accumulate_owned((g - value * inner) / safe)
+
+    return ad.Node(value, op="row_l2_normalize", parents=(a,), backward=backward)
+
+
+def sage_encode_chain(aggregator, community_embed, attribute_features, w_agg, w_update):
+    """The bipartite encoding composed of autodiff ops, one node per
+    operation.  The oracle of ``encoders.sage_encode``, which runs the same
+    arithmetic in the same order as one node."""
+    neighbor = ad.matmul(aggregator, ad.matmul(community_embed, w_agg))
+    return row_l2_normalize(relu(ad.matmul(concat_cols(attribute_features, neighbor),
+                                           w_update)))
+
+
+def hyperconv_encode_chain(factors, attribute_features, mix):
+    """The hypergraph encoding composed of autodiff ops: the oracle of
+    ``encoders.hyperconv_encode``."""
+    left, right = factors
+    return relu(ad.matmul(left, ad.matmul(right, ad.matmul(attribute_features, mix))))
+
+
+def weighted_sum_chain(nodes, weights):
+    """Each node scaled, then the products added left to right: the oracle
+    of ``autodiff.weighted_sum``."""
+    total = scale(nodes[0], weights[0])
+    for node, weight in zip(nodes[1:], weights[1:]):
+        total = ad.add(total, scale(node, weight))
+    return total
 
 
 def block_row_mean(a, block):

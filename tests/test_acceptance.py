@@ -167,11 +167,11 @@ class TestCriterion6SyntheticLearnability:
         test_samples = [series.samples[i] for i in series.split.test]
         preds = [md.predict(series, consts, s, result.store, config)
                  for s in test_samples]
-        aucs, _, _ = community_aucs(preds, test_samples, catalogs.n_communities)
+        aucs, _, _ = community_aucs(preds, test_samples)
         model_macro = macro_average(aucs)
         mom_preds = [mom_baseline(records, catalogs, s.target_month, config.k_percent)
                      for s in test_samples]
-        mom_aucs, _, _ = community_aucs(mom_preds, test_samples, catalogs.n_communities)
+        mom_aucs, _, _ = community_aucs(mom_preds, test_samples)
         mom_macro = macro_average(mom_aucs)
         elapsed = time.perf_counter() - started
         ok = model_macro >= 0.75 and model_macro - mom_macro >= 0.05 and elapsed < 600.0

@@ -9,7 +9,8 @@ from trendgraph import autodiff as ad
 from trendgraph import temporal as tp
 from trendgraph.errors import NonFiniteError, ShapeMismatchError
 
-from conftest import block_row_mean, finite_difference_check, sub, tanh
+from conftest import (block_row_mean, concat_cols, finite_difference_check, relu,
+                      row_l2_normalize, scale, sub, tanh, weighted_sum_chain)
 
 
 class TestForwardExamples:
@@ -24,7 +25,7 @@ class TestForwardExamples:
 
     def test_row_normalize_3_4_5(self):
         v = ad.constant(np.array([[3.0, 4.0]]))
-        np.testing.assert_allclose(ad.row_l2_normalize(v).value, [[0.6, 0.8]], atol=1e-15)
+        np.testing.assert_allclose(row_l2_normalize(v).value, [[0.6, 0.8]], atol=1e-15)
 
     def test_shape_mismatch_names_both_shapes(self):
         a = ad.constant(np.zeros((2, 3)))
@@ -147,15 +148,16 @@ class TestFiniteDifferenceAllPrimitives:
             m = sub(m, ad.transpose(m))          # transpose + sub, reused node
             m = ad.hadamard(m, r1)
             m = ad.sigmoid(m)
-            n = ad.relu(ad.scale(ad.concat_cols(a, ad.transpose(b)), 0.7))  # 3x8
-            n = ad.row_l2_normalize(n)
+            n = relu(scale(concat_cols(a, ad.transpose(b)), 0.7))  # 3x8
+            n = row_l2_normalize(n)
             n = ad.slice_block(n, (0, 3), (2, 5))   # 3x3
             n = tanh(n)
             c = ad.matmul(patches, ker)             # 4x3, width-2 convolution
             c = block_row_mean(c, 2)                # 2x3
             f = ad.affine_relu_block_mean(patches, ker, bias, 2)   # 2x3
+            w = ad.weighted_sum([m, n, m], [0.3, -1.2, 1.0])
             return ad.add(ad.add(ad.sum_all(m), ad.sum_all(f)),
-                          ad.add(ad.sum_all(n), ad.sum_all(c)))
+                          ad.add(ad.add(ad.sum_all(n), ad.sum_all(c)), ad.sum_all(w)))
 
         report = finite_difference_check(build, store)
         assert report.passed, report.summary()
@@ -216,7 +218,7 @@ class TestAffineReluBlockMean:
         if fused:
             out = ad.affine_relu_block_mean(x, kernel, bias, positions)
         else:
-            out = block_row_mean(ad.relu(ad.add(ad.matmul(x, kernel), bias)), positions)
+            out = block_row_mean(relu(ad.add(ad.matmul(x, kernel), bias)), positions)
         ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(readout))))
         return (out.value, kernel.grad, bias.grad) + ((x.grad,) if patch_grad else ())
 
@@ -280,6 +282,38 @@ class TestAffineReluBlockMean:
         with pytest.raises(ShapeMismatchError, match="5 not divisible by block 2"):
             ad.affine_relu_block_mean(x, ad.constant(np.zeros((3, 2))),
                                       ad.constant(np.zeros((1, 2))), 2)
+
+
+class TestWeightedSum:
+    """The fusion op against scaling each node and adding left to right."""
+
+    @staticmethod
+    def run(op, weights, shared):
+        rng = np.random.default_rng(7)
+        store = ad.ParameterStore()
+        nodes = [store.register(f"x{i}", rng.normal(size=(4, 3)) * 10.0 ** i)
+                 for i in range(len(weights))]
+        if shared:  # one node read twice accumulates both weights' gradients
+            nodes[-1] = nodes[0]
+        out = op(nodes, weights)
+        ad.backward(ad.sum_all(ad.hadamard(out, ad.constant(rng.normal(size=(4, 3))))))
+        return [out.value] + [node.grad for _, node in store.items()]
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.3, 0.7, 1.0), (0.0, 1.0, 1.0),
+                                         (1.0 / 3.0, 2.0 / 3.0, 1.0)])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bit_identical_to_the_composed_chain(self, weights, shared):
+        got = self.run(ad.weighted_sum, weights, shared)
+        want = self.run(weighted_sum_chain, weights, shared)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shapes_and_weight_count_must_agree(self):
+        a, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 2)))
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\), \(3, 2\)"):
+            ad.weighted_sum([a, b], [0.5, 0.5])
+        with pytest.raises(ShapeMismatchError, match="1 weights"):
+            ad.weighted_sum([a, a], [0.5])
 
 
 class TestGraphFree:
@@ -397,15 +431,15 @@ class TestFork:
 
         def part(a, b, unused):
             s = ad.sigmoid(a)
-            return [ad.relu(ad.matmul(s, b)), s]
+            return [relu(ad.matmul(s, b)), s]
 
         params = (a, b, unused)
         outputs = ad.fork([part] * 3, params) if forked else [part(*params) for _ in range(3)]
         total = ad.sum_all(ad.matmul(a, b))
         for (x, s), factor in zip(outputs, (1.0, -3.0, 0.1)):
-            term = ad.sum_all(ad.scale(x, factor))
+            term = ad.sum_all(scale(x, factor))
             if factor != 0.1:
-                term = ad.add(term, ad.sum_all(ad.scale(s, factor * factor)))
+                term = ad.add(term, ad.sum_all(scale(s, factor * factor)))
             total = ad.add(total, term)
         ad.backward(total)
         return [total.value.tobytes(), *(x.value.tobytes() for outs in outputs for x in outs),
@@ -426,7 +460,7 @@ class TestFork:
         p = ad.parameter([[1.0]])
         delays = delays or [0.0] * len(factors)
         errors = errors or [None] * len(factors)
-        parts = [lambda p, f=f, d=d, e=e: [relay(ad.scale(p, f), d, e)]
+        parts = [lambda p, f=f, d=d, e=e: [relay(scale(p, f), d, e)]
                  for f, d, e in zip(factors, delays, errors)]
         outputs = ad.fork(parts, (p,)) if forked else [part(p) for part in parts]
         total = outputs[0][0]
@@ -491,7 +525,7 @@ class TestInvariants:
         def run():
             x = ad.constant(data)
             ww = ad.constant(w)
-            out = ad.row_l2_normalize(tanh(ad.matmul(ad.sigmoid(x), ww)))
+            out = row_l2_normalize(tanh(ad.matmul(ad.sigmoid(x), ww)))
             return out.value.tobytes()
 
         assert run() == run()
@@ -500,13 +534,13 @@ class TestInvariants:
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = rng.normal(size=(5, 7)) * rng.uniform(0.1, 50)
-            out = ad.row_l2_normalize(ad.constant(x)).value
+            out = row_l2_normalize(ad.constant(x)).value
             norms = np.linalg.norm(out, axis=1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_zero_rows_pass_through(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        out = ad.row_l2_normalize(ad.constant(x)).value
+        out = row_l2_normalize(ad.constant(x)).value
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
 
     def test_all_outputs_finite_after_random_ops(self):
@@ -515,7 +549,7 @@ class TestInvariants:
             a = ad.constant(rng.normal(size=(4, 4)) * 100)
             b = ad.constant(rng.normal(size=(4, 4)) * 100)
             outs = [ad.matmul(a, b), ad.add(a, b), ad.hadamard(a, b), ad.sigmoid(a),
-                    tanh(b), ad.relu(a), ad.row_l2_normalize(b), ad.transpose(a)]
+                    tanh(b), relu(a), row_l2_normalize(b), ad.transpose(a)]
             for node in outs:
                 assert np.all(np.isfinite(node.value))
 

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trendgraph import autodiff as ad
 from trendgraph import encoders as enc
+from trendgraph.errors import ShapeMismatchError
 
-from conftest import finite_difference_check, sparse_sales_stack
+from conftest import (finite_difference_check, hyperconv_encode_chain, sage_encode_chain,
+                      sparse_sales_stack)
 
 
 def make_snapshot(adjacency, n_communities):
@@ -234,3 +238,102 @@ class TestEncoderProperties:
                               ad.constant(w_agg), ad.constant(w_update))
         ad.backward(ad.sum_all(out))
         assert np.abs(p_comm.grad).max() > 0
+
+
+class TestOneNodeEncoders:
+    """Each encoder is one autodiff node with the arithmetic of its composed
+    chain (``conftest``): the same values bit for bit, the same gradients to
+    1e-12 of each gradient's largest entry."""
+
+    def month(self, rng, rows, n_a=9, n_c=4, d=5):
+        """A month's operators cut to the attributes ``rows``, and the
+        parameters: features over every attribute (the hypergraph reads them
+        all), community embeddings and the three weights."""
+        sales = sparse_sales_stack(rng, 2, n_c, n_a)[0]
+        sales[:, 0] = 0  # an isolated attribute, encoded to a zero row
+        left, right = enc.hypergraph_operator_factors(sales)
+        a0, a1 = rows
+        store = ad.ParameterStore()
+        params = {name: store.register(name, rng.normal(size=shape)) for name, shape in (
+            ("features", (n_a, d)), ("comm", (n_c, d)), ("agg", (d, d)),
+            ("upd", (2 * d, d)), ("mix", (d, d)))}
+        params["features"].value[0] = 0.0
+        operators = {"aggregator": ad.constant(enc.neighbor_mean_matrix(sales)[a0:a1]),
+                     "factors": (ad.constant(left[a0:a1]), ad.constant(right))}
+        return store, params, operators
+
+    def encodings(self, sage, hyper, rows, trained):
+        rng = np.random.default_rng(60)
+        store, p, ops = self.month(rng, rows)
+        a0, a1 = rows
+        features = p["features"]
+        batch = ad.slice_block(features, rows, (0, features.cols))
+        if not trained["features"]:
+            batch = ad.constant(batch.value)
+        comm = p["comm"] if trained["comm"] else ad.constant(p["comm"].value)
+        outs = [sage(ops["aggregator"], comm, batch, p["agg"], p["upd"]),
+                hyper(ops["factors"], features, p["mix"])]
+        loss = ad.sum_all(ad.hadamard(outs[0], ad.constant(rng.normal(size=(a1 - a0, 5)))))
+        loss = ad.add(loss, ad.sum_all(ad.hadamard(outs[1],
+                                                   ad.constant(rng.normal(size=(a1 - a0, 5))))))
+        ad.backward(loss)
+        return [o.value for o in outs], {name: node.grad for name, node in store.items()}
+
+    @pytest.mark.parametrize("rows", [(0, 9), (2, 6)], ids=["all", "batch"])
+    @pytest.mark.parametrize("trained", [{"features": True, "comm": True},
+                                         {"features": False, "comm": True},
+                                         {"features": True, "comm": False}],
+                             ids=["all-trained", "constant-features", "constant-communities"])
+    def test_values_and_gradients_match_the_chains(self, rows, trained):
+        got_values, got = self.encodings(enc.sage_encode, enc.hyperconv_encode, rows, trained)
+        want_values, want = self.encodings(sage_encode_chain, hyperconv_encode_chain, rows,
+                                           trained)
+        for a, b in zip(got_values, want_values):
+            assert a.tobytes() == b.tobytes()
+        for name, g in want.items():
+            scale = max(np.abs(g).max(), np.finfo(float).tiny)
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+            assert got[name].any() == g.any(), name
+
+    def test_over_constants_they_keep_no_graph(self):
+        rng = np.random.default_rng(61)
+        _, p, ops = self.month(rng, (0, 9))
+        c = {name: ad.constant(node.value) for name, node in p.items()}
+        for out in (enc.sage_encode(ops["aggregator"], c["comm"], c["features"], c["agg"],
+                                    c["upd"]),
+                    enc.hyperconv_encode(ops["factors"], c["features"], c["mix"])):
+            assert out.parents == () and not out.needs_grad
+
+    def test_each_keeps_only_what_its_backward_reads(self):
+        """Bytes an encoding holds once its call returns, measured with
+        tracemalloc: the hypergraph node its output, the bipartite node its
+        output, the neighbor mean, the ReLU's one-byte mask and the row
+        norms, each within 4 KB for the node and its rule."""
+        rng = np.random.default_rng(62)
+        n_a, d = 600, 32
+        _, p, ops = self.month(rng, (0, n_a), n_a=n_a, n_c=5, d=d)
+        tracemalloc.start()
+        try:
+            kept = []
+            for encode in (lambda: enc.hyperconv_encode(ops["factors"], p["features"], p["mix"]),
+                           lambda: enc.sage_encode(ops["aggregator"], p["comm"], p["features"],
+                                                   p["agg"], p["upd"])):
+                before = tracemalloc.get_traced_memory()[0]
+                out = encode()
+                kept.append(tracemalloc.get_traced_memory()[0] - before)
+                assert out.needs_grad
+                del out
+        finally:
+            tracemalloc.stop()
+        floats = n_a * d * 8
+        assert kept[0] <= floats + 4096, kept[0]
+        assert kept[1] <= 2 * floats + n_a * d + n_a * 8 + 4096, kept[1]
+
+    def test_shape_mismatch_names_the_shapes(self):
+        rng = np.random.default_rng(63)
+        _, p, ops = self.month(rng, (0, 9))
+        with pytest.raises(ShapeMismatchError, match=r"\(4, 5\)"):
+            enc.sage_encode(ops["aggregator"], ad.constant(np.zeros((4, 5))),
+                            ad.constant(np.zeros((4, 5))), p["agg"], p["upd"])
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 5\)"):
+            enc.hyperconv_encode(ops["factors"], ad.constant(np.zeros((3, 5))), p["mix"])

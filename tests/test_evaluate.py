@@ -3,7 +3,7 @@ import pytest
 
 from trendgraph import evaluate as ev
 from trendgraph import snapshots as snap
-from trendgraph.errors import DataError, UndefinedAucError
+from trendgraph.errors import DataError, ShapeMismatchError, UndefinedAucError
 from trendgraph.predictions import PredictionMatrix
 
 from conftest import monthly_from_tuples
@@ -170,7 +170,25 @@ class TestCommunityAucs:
                 samples.append(snap.TrendSample(window_months=(t + 1,), target_month=t + 2,
                                                 labels=labels, validity=validity))
             want = per_sample_community_aucs(predictions, samples, n_c)
-            assert ev.community_aucs(predictions, samples, n_c) == want
+            assert ev.community_aucs(predictions, samples) == want
+
+    @pytest.mark.parametrize("scored", [(1, 4), (3, 4), (2, 3)])
+    def test_predictions_shaped_unlike_the_samples_are_refused(self, scored):
+        labels = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+        sample = snap.TrendSample(window_months=(1,), target_month=2, labels=labels,
+                                  validity=np.ones_like(labels))
+        pred = PredictionMatrix(scores=np.zeros(scored), target_month=2)
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"\({scored[0]}, 1, {scored[1]}\).*\(2, 1, 4\)"):
+            ev.community_aucs([pred], [sample])
+
+    def test_one_prediction_too_many_is_refused(self):
+        labels = np.eye(2)
+        sample = snap.TrendSample(window_months=(1,), target_month=2, labels=labels,
+                                  validity=np.ones_like(labels))
+        pred = PredictionMatrix(scores=labels, target_month=2)
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 2, 2\).*\(2, 1, 2\)"):
+            ev.community_aucs([pred, pred], [sample])
 
 
 class TestEvaluatePredictions:

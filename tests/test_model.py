@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from trendgraph import temporal as tp
 from trendgraph.errors import InsufficientHistoryError, NonFiniteError, ShapeMismatchError
 from trendgraph.snapshots import Catalogs, MonthlySales, SnapshotSeries
 
-from conftest import finite_difference_check, random_monthly, small_series
+from conftest import (finite_difference_check, hyperconv_encode_chain, random_monthly,
+                      sage_encode_chain, small_series, weighted_sum_chain)
 
 SMALL = md.ModelConfig(d=4, seed=3, batch_size=5, max_epochs=3, learning_rate=0.01)
 
@@ -159,6 +161,29 @@ class TestGraphConstants:
                                    (consts.patches, patches), (consts.scaled, scaled)):
                 assert stacked[i].shape == alone.shape
                 assert stacked[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("alpha,skipped", [(0.0, {"hyper_left", "hyper_right"}),
+                                               (1.0, {"aggregator"})])
+    def test_an_encoder_weighted_zero_gets_no_operators(self, alpha, skipped):
+        series = self.sparse_series()
+        consts = md.build_constants(series, replace(SMALL, alpha=alpha))
+        both = md.build_constants(series, SMALL)
+        for name in ("aggregator", "hyper_left", "hyper_right", "patches", "scaled"):
+            if name in skipped:
+                assert getattr(consts, name) is None
+            else:
+                assert getattr(consts, name).tobytes() == getattr(both, name).tobytes()
+
+    @pytest.mark.parametrize("built,run,missing", [
+        (0.0, 0.5, "hyper_left, hyper_right"), (0.0, 1.0, "hyper_left, hyper_right"),
+        (1.0, 0.5, "aggregator"), (1.0, 0.0, "aggregator")])
+    def test_forward_names_the_operators_it_was_not_given(self, tiny_series, built, run,
+                                                          missing):
+        consts = md.build_constants(tiny_series, replace(SMALL, alpha=built))
+        config = replace(SMALL, alpha=run)
+        store = md.initialize(config, tiny_series.catalogs)
+        with pytest.raises(ValueError, match=f"alpha={run} .* {missing} were not built"):
+            md.forward(tiny_series, consts, tiny_series.samples[0], store, config)
 
     @pytest.mark.parametrize("first", [3, 6])
     def test_a_window_outside_the_constants_months_is_refused(self, first):
@@ -444,6 +469,78 @@ class TestWorkerThread:
         ad.backward(md.bce_loss(again, sample.labels, sample.validity))
         assert all(f.done() for f in worker.futures)
         assert np.abs(store["sales_conv_kernel"].grad).max() > 0
+
+
+class TestFusedLayers:
+    """The two encoders and the fusion, each one autodiff node, against the
+    composed chains in ``conftest``: the same scores bit for bit and the
+    same gradients to 1e-12 of each gradient's largest entry, at each fusion
+    weight, on a batch and on all attributes, on the worker thread and
+    without it."""
+
+    @staticmethod
+    def run(series, config, attr_range):
+        store = md.initialize(config, series.catalogs)
+        for _, node in store.items():  # off the zero biases, so every path carries signal
+            node.value += 0.05
+        consts = md.build_constants(series, config)
+        sample = series.samples[0]
+        a0, a1 = attr_range or (0, series.catalogs.n_attributes)
+        scores = md.forward(series, consts, sample, store, config, attr_range=attr_range)
+        ad.backward(md.bce_loss(scores, sample.labels[:, a0:a1], sample.validity[:, a0:a1]))
+        return scores.value, {name: node.grad for name, node in store.items()}
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("attr_range", [(1, 4), None], ids=["batch", "all"])
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "inline"])
+    def test_scores_and_gradients_match_the_chains(self, tiny_series, request, monkeypatch,
+                                                   alpha, attr_range, on_worker):
+        if on_worker:
+            request.getfixturevalue("worker")
+        else:
+            monkeypatch.setattr(ad, "_WORKER", None)
+        config = replace(SMALL, alpha=alpha)
+        got_scores, got = self.run(tiny_series, config, attr_range)
+        with monkeypatch.context() as patch:
+            patch.setattr(enc, "sage_encode", sage_encode_chain)
+            patch.setattr(enc, "hyperconv_encode", hyperconv_encode_chain)
+            patch.setattr(ad, "weighted_sum", weighted_sum_chain)
+            want_scores, want = self.run(tiny_series, config, attr_range)
+        assert got_scores.tobytes() == want_scores.tobytes()
+        for name, g in want.items():
+            scale = max(np.abs(g).max(), np.finfo(float).tiny)
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+        live = {"sage_update_0": alpha < 1.0, "hyper_mix_0": alpha > 0.0}
+        assert {name: bool(got[name].any()) for name in live} == live
+
+
+class TestGraphMemory:
+    def test_a_whole_catalog_step_keeps_what_its_rules_read(self, monkeypatch):
+        """With the batch covering every attribute, the sales embedding is
+        itself the batch's features, read by both encoders and the fusion.
+        Per month, the graph then keeps about 17 buffers of attributes x d
+        floats: the sales embedding, the bipartite encoding and its neighbor
+        mean, the hypergraph encoding, the fused input, and the state and
+        four gate buffers of each recurrent cell, plus one-byte masks.  The
+        composed chains kept 27, one for each product and scaled copy."""
+        monkeypatch.setattr(ad, "_WORKER", None)
+        series = small_series(seed=0, n_communities=4, n_attributes=200)
+        config = replace(SMALL, d=16, batch_size=200)
+        store = md.initialize(config, series.catalogs)
+        consts = md.build_constants(series, config)
+        sample = series.samples[0]
+        md.forward(series, consts, sample, store, config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = md.forward(series, consts, sample, store, config)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        buffer = 200 * config.d * 8
+        assert kept <= 18 * config.window_length * buffer, kept / buffer
+        ad.backward(md.bce_loss(scores, sample.labels, sample.validity))
+        assert np.abs(store["hyper_mix_0"].grad).max() > 0
 
 
 class TestAlphaEndpoints:

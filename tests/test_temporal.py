@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,28 @@ class TestFusedRollout:
         cores = {id(s.parents[0]) for s in states}
         assert len(cores) == 1 and all(len(s.parents) == 1 for s in states)
         assert states[0].parents[0].parents == (*xs, *(getattr(w, n) for n in GRU_NAMES))
+
+    def test_a_trained_rollout_keeps_states_and_gates_only(self):
+        """Per step the rollout keeps its state and the four gate values
+        (r, z, n, q) that backward reads, and no stacked copy of a block's
+        inputs; the first block's q is the bias row alone.  Measured with
+        tracemalloc, within 16 KB for the nodes and their rules."""
+        rng = np.random.default_rng(46)
+        rows, d, steps, skip = 300, 16, 12, 3
+        store = ad.ParameterStore()
+        w = make_gru_params(store, rng, d, "cell")
+        xs = [store.register(f"x_{t}", rng.normal(size=(rows, d))) for t in range(steps)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states = tp.skip_gru_rollout(xs, w, skip)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        buffer = rows * d * 8
+        assert kept <= (5 * steps - skip) * buffer + 16_384, kept / buffer
+        ad.backward(ad.sum_all(states[-1]))
+        assert np.abs(store["x_2"].grad).max() > 0  # the chain of steps 2, 5, 8, 11
 
     def test_shape_mismatch_names_the_shapes(self):
         rng = np.random.default_rng(44)
