@@ -602,19 +602,57 @@ class ParameterStore:
 
     @staticmethod
     def read_checkpoint(path) -> "OrderedDict[str, Matrix]":
-        """Parse a checkpoint file into an ordered name -> array map."""
+        """Parse a checkpoint file into an ordered name -> array map.
+
+        A wrong magic line, a malformed count, header, row or value, a
+        parameter listed twice and non-blank content after the declared
+        parameters each raise ValueError naming the 1-based line and the
+        parameter it belongs to.
+        """
+        out: "OrderedDict[str, Matrix]" = OrderedDict()
         with open(path, "r") as fh:
             magic = fh.readline().strip()
             if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-            count = int(fh.readline())
-            out: "OrderedDict[str, Matrix]" = OrderedDict()
-            for _ in range(count):
-                name, r, c = fh.readline().split()
-                r, c = int(r), int(c)
-                rows = [[float.fromhex(tok) for tok in fh.readline().split()] for _ in range(r)]
-                arr = np.array(rows, dtype=np.float64).reshape(r, c)
-                out[name] = arr
+                raise ValueError(f"line 1: bad checkpoint magic {magic!r}, "
+                                 f"expected {CHECKPOINT_MAGIC!r}")
+            text = fh.readline().strip()
+            try:
+                count = _count(text)
+            except ValueError:
+                raise ValueError(f"line 2: parameter count {text!r} is not a "
+                                 f"non-negative integer") from None
+            line = 2
+            for index in range(1, count + 1):
+                line += 1
+                header = fh.readline().split()
+                try:
+                    name, rows, cols = header
+                    r, c = _count(rows), _count(cols)
+                except ValueError:
+                    raise ValueError(f"line {line}: header of parameter {index} of {count} "
+                                     f"reads {' '.join(header)!r}, not '<name> <rows> <cols>'"
+                                     ) from None
+                if name in out:
+                    raise ValueError(f"line {line}: parameter '{name}' is listed twice")
+                values: list[list[float]] = []
+                for row in range(line + 1, line + 1 + r):
+                    tokens = fh.readline().split()
+                    if len(tokens) != c:
+                        raise ValueError(f"line {row}: parameter '{name}' has a row of "
+                                         f"{len(tokens)} values, expected {c}")
+                    try:
+                        values.append([float.fromhex(tok) for tok in tokens])
+                    except ValueError:
+                        bad = next(tok for tok in tokens if not _is_hex_float(tok))
+                        raise ValueError(f"line {row}: parameter '{name}' holds {bad!r}, "
+                                         f"not a hexadecimal float") from None
+                line += r
+                out[name] = np.array(values, dtype=np.float64).reshape(r, c)
+            for text in fh:
+                line += 1
+                if text.strip():
+                    raise ValueError(f"line {line}: content after the {count} declared "
+                                     f"parameters")
         return out
 
     def load(self, path) -> None:
@@ -624,6 +662,22 @@ class ParameterStore:
             extra = sorted(set(values) - set(self._params))
             raise ValueError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
         self.restore_values(values)
+
+
+def _count(text: str) -> int:
+    """A checkpoint's count or dimension: a non-negative decimal integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _is_hex_float(token: str) -> bool:
+    try:
+        float.fromhex(token)
+    except ValueError:
+        return False
+    return True
 
 
 def adam_step(store: ParameterStore, learning_rate: float) -> None:

@@ -22,10 +22,10 @@ Each encoder is one autodiff node with a hand-written backward, as the
 recurrent rollouts in ``temporal`` are, and not a chain of matmul, ReLU
 and normalization nodes: the model encodes every month of its window, and
 the chain kept each product for a backward rule that never reads it.  The
-bipartite node keeps its output, the row norms, the ReLU's sign (one byte
-per entry) and the neighbor mean; the hypergraph node keeps its output
-alone.  Values equal the chain's bit for bit, and the tests keep the chain
-as the oracle.
+bipartite node keeps its output, the row norms and the ReLU's sign (one
+byte per entry), and rebuilds the neighbor mean in backward with one matrix
+product; the hypergraph node keeps its output alone.  Values equal the
+chain's bit for bit, and the tests keep the chain as the oracle.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Nod
     One autodiff node: the arithmetic is that of the composed chain
     ``normalize(relu(concat(X, A @ (E @ w_agg)) @ w_update))``, operation
     for operation, so values equal the chain's bit for bit.  For backward it
-    keeps its output, the row norms, the ReLU's sign as a one-byte mask and
-    the neighbor mean; the concatenation lives only during the forward.
-    Over constants it keeps none of these and builds no graph.
+    keeps its output, the row norms and the ReLU's sign as a one-byte mask.
+    The concatenation lives only during the forward, and backward rebuilds
+    the neighbor mean with the forward's product for the ``w_update``
+    gradient.  Over constants it keeps none of these and builds no graph.
     """
     x = attribute_features
     rows, split = x.value.shape
@@ -77,8 +78,11 @@ def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Nod
             f"{x.value.shape}, {w_agg.value.shape} and {w_update.value.shape} do not conform")
     params = (aggregator, community_embed, x, w_agg, w_update)
     train = any(p.needs_grad for p in params)
-    neighbor = aggregator.value @ (community_embed.value @ w_agg.value)
-    value = np.hstack([x.value, neighbor]) @ w_update.value
+
+    def neighbor_mean() -> np.ndarray:
+        return aggregator.value @ (community_embed.value @ w_agg.value)
+
+    value = np.hstack([x.value, neighbor_mean()]) @ w_update.value
     np.maximum(value, 0.0, out=value)
     mask = value > 0.0 if train else None
     norms = np.sqrt((value * value).sum(axis=1, keepdims=True))
@@ -103,8 +107,8 @@ def sage_encode(aggregator: Node, community_embed: Node, attribute_features: Nod
                     community_embed.accumulate_owned(gp @ w_agg.value.T)
                 if w_agg.needs_grad:
                     w_agg.accumulate_owned(community_embed.value.T @ gp)
-        if w_update.needs_grad:
-            w_update.accumulate_owned(np.vstack([x.value.T @ gz, neighbor.T @ gz]))
+        if w_update.needs_grad:  # the neighbor mean is rebuilt, not kept
+            w_update.accumulate_owned(np.vstack([x.value.T @ gz, neighbor_mean().T @ gz]))
 
     return Node(value, op="sage_encode", parents=params, backward=backward)
 

@@ -10,13 +10,15 @@ forecast added inside the final score.
 
 Each recurrent cell is rolled out as one autodiff node with a hand-written
 backward (``_rollout``), not as a chain of about 19 elementwise nodes per
-month.  Its parents are the month inputs and the cell's nine weights, and it
-keeps only the gate values that backward needs.  Since the skip cell's
-state at month t reads only month t - p, its p interleaved chains are
-independent, so each block of p consecutive months advances as one stacked
-step: 4 sequential steps instead of 12 at p = 3.  When neither the inputs
-nor the weights need a gradient (prediction, validation), the rollout keeps
-no gate values and builds no graph.
+month.  Its parents are the month inputs and the cell's nine weights.  Per
+month it keeps the state and three gate values; backward rebuilds the
+candidate's state term h W_hc + b_c with one matrix product rather than
+keeping a fourth buffer.  Since the skip cell's state at month t reads only
+month t - p, its p interleaved chains are independent, so each block of p
+consecutive months advances as one stacked step: 4 sequential steps instead
+of 12 at p = 3.  When neither the inputs nor the weights need a gradient
+(prediction, validation), the rollout keeps no gate values and builds no
+graph.
 
 Neither cell reads the other, so ``model.forward`` rolls them as two parts
 of one ``autodiff.fork``: when BLAS leaves a CPU free, the skip cell rolls
@@ -123,8 +125,11 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
     one (k * rows) x d step.  The states live in one (steps * rows) x d
     buffer; the returned per-step nodes are views of its row blocks.  When
     nothing needs a gradient, neither gate values nor a graph are kept.
-    Backward stacks a block's inputs again rather than keeping the stacked
-    copy, and frees each block's gate values once it has read them.
+    Otherwise each block keeps r, z and n.  Backward rebuilds the state
+    term q = h W_hc + b_c and the stacked inputs with the forward's own
+    operations rather than keeping them, and writes the block's gradients
+    into its gate buffers once it has read them: a block allocates three
+    new buffers of its size besides its stacked inputs and their gradient.
     """
     if not inputs:
         raise ValueError("a recurrent rollout needs at least one step")
@@ -159,19 +164,25 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
         h = states[block(t0 - skip, k)] if t0 else None
         r = x @ w.w_xr.value
         z = x @ w.w_xu.value
-        if h is None:  # the zero initial state: its products would add zeros
-            q = w.b_c.value
-        else:
-            r += h @ w.w_hr.value
-            z += h @ w.w_hu.value
-            q = h @ w.w_hc.value
+        n = x @ w.w_xc.value
+        del x
+        if h is not None:
+            q = h @ w.w_hr.value  # one buffer serves the three state products
+            r += q
+            np.matmul(h, w.w_hu.value, out=q)
+            z += q
+            np.matmul(h, w.w_hc.value, out=q)
             q += w.b_c.value
         r += w.b_r.value
         z += w.b_u.value
         r = ad.logistic(r)
         z = ad.logistic(z)
-        n = x @ w.w_xc.value
-        n += r * q
+        if h is None:  # the zero initial state: its products would add zeros
+            q = r * w.b_c.value
+        else:
+            q *= r
+        n += q
+        del q
         np.tanh(n, out=n)
         out = states[block(t0, k)]
         if h is None:
@@ -181,7 +192,7 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
         out *= z
         out += n
         if train:
-            cache.append((t0, k, h, r, z, n, q))
+            cache.append((t0, k, h, r, z, n))
     if not train:
         return [Node(states[block(t, 1)], op="gru_state") for t in range(steps)]
 
@@ -195,16 +206,33 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
                 grads[id(p)] += value
 
         while cache:  # newest block first; each block's gate values are freed once read
-            t0, k, h, r, z, n, q = cache.pop()
+            t0, k, h, r, z, n = cache.pop()
             dh = g[block(t0, k)]
-            d_n = dh * (1.0 - z)
-            d_n *= 1.0 - n * n
-            d_r = d_n * q
-            d_r *= r * (1.0 - r)
-            d_z = -n if h is None else h - n
+            # the candidate's state term, rebuilt as the forward computed it
+            if h is None:
+                q = np.repeat(w.b_c.value, len(r), axis=0)
+            else:
+                q = h @ w.w_hc.value
+                q += w.b_c.value
+            # d_n and d_z are the block's new buffers; the other gradients
+            # overwrite values that nothing reads any more: d_r goes into q,
+            # d_q into n and dh * z into z, and r holds the products below
+            d_n = np.subtract(1.0, z)
+            d_z = np.negative(n) if h is None else np.subtract(h, n)
             d_z *= dh
-            d_z *= z * (1.0 - z)
-            d_q = d_n * r
+            np.multiply(n, n, out=n)
+            np.subtract(1.0, n, out=n)
+            np.multiply(dh, d_n, out=d_n)
+            d_n *= n
+            np.subtract(1.0, z, out=n)
+            np.multiply(z, n, out=n)
+            d_z *= n
+            np.subtract(1.0, r, out=n)
+            np.multiply(r, n, out=n)
+            np.multiply(d_n, q, out=q)
+            q *= n
+            d_r, d_q, spare = q, np.multiply(d_n, r, out=n), r
+            del q, n, r
             add_grad(w.b_r, d_r.sum(axis=0))
             add_grad(w.b_u, d_z.sum(axis=0))
             add_grad(w.b_c, d_q.sum(axis=0))
@@ -216,24 +244,24 @@ def _rollout(inputs: list[Node], w: GruWeights, skip: int) -> list[Node]:
             stacked = inputs[t0:t0 + k]
             if any(node.needs_grad for node in stacked):
                 d_x = d_r @ w.w_xr.value.T
-                d_x += d_z @ w.w_xu.value.T
-                d_x += d_n @ w.w_xc.value.T
+                fits = spare if spare.shape == d_x.shape else None
+                d_x += np.matmul(d_z, w.w_xu.value.T, out=fits)
+                d_x += np.matmul(d_n, w.w_xc.value.T, out=fits)
                 for j, node in enumerate(stacked):
                     if node.needs_grad:  # disjoint row blocks of a fresh array
                         node.accumulate_owned(d_x[block(j, 1)])
-            del d_n
             if h is not None:
                 add_grad(w.w_hr, h.T @ d_r)
                 add_grad(w.w_hu, h.T @ d_z)
                 add_grad(w.w_hc, h.T @ d_q)
-                d_h = d_r @ w.w_hr.value.T
-                d_h += d_z @ w.w_hu.value.T
-                d_h += d_q @ w.w_hc.value.T
-                d_h += dh * z
+                d_h = np.matmul(d_r, w.w_hr.value.T, out=d_n)
+                d_h += np.matmul(d_z, w.w_hu.value.T, out=spare)
+                d_h += np.matmul(d_q, w.w_hc.value.T, out=spare)
+                d_h += np.multiply(dh, z, out=z)
                 g[block(t0 - skip, k)] += d_h
                 del d_h
-            # free this block's gradients before the next block makes its own
-            del d_r, d_z, d_q
+            # free this block's buffers before the next block makes its own
+            del d_n, d_r, d_z, d_q, z, spare
         # keyed by identity: a node passed for two weights gets both gradients
         for p in {id(p): p for p in weights if p.needs_grad}.values():
             p.accumulate_owned(grads[id(p)])

@@ -1,3 +1,4 @@
+import re
 import sys
 import time
 import tracemalloc
@@ -637,3 +638,55 @@ class TestParameterStore:
         other.register("w", np.zeros((3, 3)))
         with pytest.raises(ShapeMismatchError):
             other.load(path)
+
+    @staticmethod
+    def checkpoint_lines(tmp_path) -> list[str]:
+        """Lines of a two-parameter checkpoint: the magic, the count, then
+        'a 2 3' on line 3 with rows on lines 4-5, and 'b 1 2' on line 6 with
+        its row on line 7; the last entry is the empty text after the final
+        newline."""
+        store = ad.ParameterStore()
+        store.register("a", np.arange(6.0).reshape(2, 3) / 7.0)
+        store.register("b", np.ones((1, 2)))
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        return path.read_text().split("\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines.__setitem__(0, "DYTG0"), "line 1: bad checkpoint magic 'DYTG0'"),
+        (lambda lines: lines.__setitem__(5, "a 1 2"), "line 6: parameter 'a' is listed twice"),
+        (lambda lines: lines.insert(-1, "junk"),
+         "line 8: content after the 2 declared parameters"),
+        (lambda lines: lines.extend(["", "  ", "x"]),
+         "line 11: content after the 2 declared parameters"),
+        (lambda lines: lines.__setitem__(1, "two"), "line 2: parameter count 'two'"),
+        (lambda lines: lines.__setitem__(1, "-1"), "line 2: parameter count '-1'"),
+        (lambda lines: lines.__setitem__(5, "b 1"),
+         "line 6: header of parameter 2 of 2 reads 'b 1'"),
+        (lambda lines: lines.__setitem__(5, "b -1 2"),
+         "line 6: header of parameter 2 of 2 reads 'b -1 2'"),
+        (lambda lines: lines.__setitem__(3, lines[3].rsplit(" ", 1)[0]),
+         "line 4: parameter 'a' has a row of 2 values, expected 3"),
+        (lambda lines: lines.__setitem__(4, lines[4].replace("0x", "0y", 1)),
+         "line 5: parameter 'a' holds '0y"),
+        (lambda lines: lines.__delitem__(6), "line 7: parameter 'b' has a row of 0 values"),
+        (lambda lines: lines.__delitem__(slice(5, None)),
+         "line 6: header of parameter 2 of 2 reads ''"),
+    ], ids=["magic", "duplicate", "trailing", "trailing-after-blank", "count", "negative-count",
+            "header", "negative-rows", "short-row", "token", "truncated-row",
+            "truncated-header"])
+    def test_malformed_checkpoint_names_the_line_and_parameter(self, tmp_path, edit, message):
+        lines = self.checkpoint_lines(tmp_path)
+        edit(lines)
+        path = tmp_path / "damaged.ckpt"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ad.ParameterStore.read_checkpoint(path)
+
+    def test_blank_lines_after_the_parameters_are_read(self, tmp_path):
+        lines = self.checkpoint_lines(tmp_path)
+        path = tmp_path / "padded.ckpt"
+        path.write_text("\n".join(lines) + "\n  \n\t\n")
+        loaded = ad.ParameterStore.read_checkpoint(path)
+        assert list(loaded) == ["a", "b"]
+        assert loaded["a"].tobytes() == (np.arange(6.0).reshape(2, 3) / 7.0).tobytes()

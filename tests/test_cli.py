@@ -412,6 +412,31 @@ class TestEvaluate:
         err = self.evaluate_damaged(tmp_path, data_dir, run_dir, nan_checkpoint(run_dir), capsys)
         assert "non-finite value in parameter 'community_embed'" in err
 
+    def test_content_after_the_parameters_names_the_line(self, tmp_path, data_dir, run_dir,
+                                                         capsys):
+        data = (run_dir / "model.ckpt").read_bytes()
+        junk_line = data.count(b"\n") + 1
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir, data + b"junk\n", capsys)
+        assert f"line {junk_line}: content after the" in err
+        assert "Traceback" not in err
+
+    def test_a_malformed_value_names_the_line_and_parameter(self, tmp_path, data_dir, run_dir,
+                                                            capsys):
+        lines = (run_dir / "model.ckpt").read_bytes().split(b"\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith(b"sage_agg_0 ")) + 2
+        lines[row] = b" ".join([b"0x1.zz"] + lines[row].split()[1:])
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir, b"\n".join(lines), capsys)
+        assert f"line {row + 1}: parameter 'sage_agg_0' holds '0x1.zz'" in err
+
+    def test_a_parameter_listed_twice_names_the_line(self, tmp_path, data_dir, run_dir, capsys):
+        lines = (run_dir / "model.ckpt").read_bytes().split(b"\n")
+        first = next(i for i, line in enumerate(lines) if line.startswith(b"sage_agg_0 "))
+        second = next(i for i, line in enumerate(lines[first + 1:], first + 1)
+                      if line[:1].isalpha())
+        lines[second] = b"sage_agg_0 " + lines[second].split(b" ", 1)[1]
+        err = self.evaluate_damaged(tmp_path, data_dir, run_dir, b"\n".join(lines), capsys)
+        assert f"line {second + 1}: parameter 'sage_agg_0' is listed twice" in err
+
 
 def nan_checkpoint(run_dir):
     """The trained checkpoint with its first community_embed value replaced by nan."""

@@ -307,8 +307,8 @@ class TestOneNodeEncoders:
     def test_each_keeps_only_what_its_backward_reads(self):
         """Bytes an encoding holds once its call returns, measured with
         tracemalloc: the hypergraph node its output, the bipartite node its
-        output, the neighbor mean, the ReLU's one-byte mask and the row
-        norms, each within 4 KB for the node and its rule."""
+        output, the ReLU's one-byte mask and the row norms, each within 4 KB
+        for the node and its rule."""
         rng = np.random.default_rng(62)
         n_a, d = 600, 32
         _, p, ops = self.month(rng, (0, n_a), n_a=n_a, n_c=5, d=d)
@@ -327,7 +327,7 @@ class TestOneNodeEncoders:
             tracemalloc.stop()
         floats = n_a * d * 8
         assert kept[0] <= floats + 4096, kept[0]
-        assert kept[1] <= 2 * floats + n_a * d + n_a * 8 + 4096, kept[1]
+        assert kept[1] <= floats + n_a * d + n_a * 8 + 4096, kept[1]
 
     def test_shape_mismatch_names_the_shapes(self):
         rng = np.random.default_rng(63)

@@ -308,10 +308,10 @@ class TestFusedRollout:
         assert states[0].parents[0].parents == (*xs, *(getattr(w, n) for n in GRU_NAMES))
 
     def test_a_trained_rollout_keeps_states_and_gates_only(self):
-        """Per step the rollout keeps its state and the four gate values
-        (r, z, n, q) that backward reads, and no stacked copy of a block's
-        inputs; the first block's q is the bias row alone.  Measured with
-        tracemalloc, within 16 KB for the nodes and their rules."""
+        """Per step the rollout keeps its state and the three gate values
+        (r, z, n) that backward reads; backward rebuilds q = h W_hc + b_c
+        and a block's stacked inputs.  Measured with tracemalloc, within
+        16 KB for the nodes and their rules."""
         rng = np.random.default_rng(46)
         rows, d, steps, skip = 300, 16, 12, 3
         store = ad.ParameterStore()
@@ -325,9 +325,39 @@ class TestFusedRollout:
         finally:
             tracemalloc.stop()
         buffer = rows * d * 8
-        assert kept <= (5 * steps - skip) * buffer + 16_384, kept / buffer
+        assert kept <= 4 * steps * buffer + 16_384, kept / buffer
         ad.backward(ad.sum_all(states[-1]))
         assert np.abs(store["x_2"].grad).max() > 0  # the chain of steps 2, 5, 8, 11
+
+    def test_a_rollout_backward_needs_four_block_buffers(self):
+        """Above the forward graph, a skip rollout's backward holds its own
+        gradient (one buffer per step) and, per block of p steps, the
+        rebuilt q and two new gate gradients, then the stacked inputs or
+        their gradient; every other gradient goes into a gate buffer that it
+        has read.  Measured with tracemalloc, within 16 KB."""
+        rng = np.random.default_rng(47)
+        rows, d, steps, skip = 300, 16, 12, 3
+        store = ad.ParameterStore()
+        w = make_gru_params(store, rng, d, "cell")
+        xs = [store.register(f"x_{t}", rng.normal(size=(rows, d))) for t in range(steps)]
+        for _, node in store.items():
+            node.grad  # allocated before the trace, so gradients add in place
+        tracemalloc.start()
+        try:
+            states = tp.skip_gru_rollout(xs, w, skip)
+            loss = ad.sum_all(states[0])
+            for state in states[1:]:
+                loss = ad.add(loss, ad.sum_all(state))
+            del states
+            forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = rows * d * 8
+        assert peak - forward <= (steps + 4 * skip) * buffer + 16_384, (peak - forward) / buffer
+        assert np.abs(store["x_0"].grad).max() > 0
 
     def test_shape_mismatch_names_the_shapes(self):
         rng = np.random.default_rng(44)
